@@ -598,7 +598,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"shape          : {classify_shape(query)}")
     if query.sizes is not None:
         cover = fractional_edge_cover(query)
-        weights = {e: round(x, 2) for e, x in cover.weights.items()}
+        weights = {e: round(float(x), 2) for e, x in cover.weights.items()}
         print(f"edge cover     : {weights}")
         print(f"AGM bound      : {cover.agm_bound:.1f}")
         chain = detect_line(query)

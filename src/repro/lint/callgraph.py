@@ -49,8 +49,8 @@ RAW_IO_DOTTED = frozenset({"os.read", "os.write", "os.open"})
 #: move bytes; ``os.path.join`` and friends are pure string work.
 PURE_MODULES = frozenset({
     "abc", "argparse", "ast", "bisect", "collections", "contextlib",
-    "copy", "csv", "dataclasses", "enum", "functools", "heapq",
-    "inspect", "itertools", "json", "math", "networkx", "numpy",
+    "copy", "csv", "dataclasses", "enum", "fractions", "functools",
+    "heapq", "inspect", "itertools", "json", "math", "networkx",
     "operator", "os", "re", "statistics", "string", "sys", "textwrap",
     "threading", "types", "typing",
     # Constructing paths is pure string work; the methods that move

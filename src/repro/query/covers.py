@@ -4,8 +4,9 @@ The AGM bound states ``max_R |Q(R)| = min_x ∏_e N(e)^{x(e)}`` over
 fractional edge covers ``x`` (``Σ_{e∋v} x(e) ≥ 1`` for every attribute
 ``v``).  Lemma 2 of the paper shows the optimal cover of an acyclic
 query is integral (0/1), so for our constant-size queries we compute it
-exactly — both by linear programming (scipy) and by exhaustive search
-over integral covers — and cross-check the two in tests.
+exactly — both by an exact rational linear program (a dual simplex over
+:class:`fractions.Fraction`) and by exhaustive search over integral
+covers — and cross-check the two in tests.
 
 Section 7.1 needs the *minimum edge cover* (all sizes equal) computed
 by the paper's greedy (Algorithm 6), along with the LP-dual *vertex
@@ -16,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
+from fractions import Fraction
 
 from repro.query.classify import edge_unique_attributes
 from repro.query.hypergraph import JoinQuery
@@ -28,47 +27,71 @@ from repro.query.hypergraph import JoinQuery
 class EdgeCover:
     """A fractional (or integral) edge cover and its AGM value."""
 
-    weights: dict[str, float]
+    weights: dict[str, Fraction]
     agm_bound: float
 
     def support(self) -> frozenset[str]:
-        """Edges with weight above numerical noise."""
-        return frozenset(e for e, x in self.weights.items() if x > 1e-9)
+        """Edges with positive weight."""
+        return frozenset(e for e, x in self.weights.items() if x > 0)
 
-    def is_integral(self, tol: float = 1e-6) -> bool:
-        return all(min(abs(x), abs(x - 1.0)) <= tol
-                   for x in self.weights.values())
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for x in self.weights.values())
 
 
 def fractional_edge_cover(query: JoinQuery) -> EdgeCover:
-    """The optimal fractional edge cover by linear programming.
+    """The optimal fractional edge cover, solved exactly.
 
     Minimizes ``Σ_e x(e) · ln N(e)`` (so the AGM bound ``∏ N^x`` is
     minimized) subject to covering every attribute.  Falls back to unit
     costs when the query has no sizes (minimum fractional edge cover).
+
+    The LP ``min c·x s.t. A x ≥ 1, x ≥ 0`` is solved by the dual simplex
+    method on a :class:`~fractions.Fraction` tableau.  Every cost is
+    positive, so the all-slack basis is dual feasible from the start and
+    no phase 1 is needed; Bland's smallest-index rule (for the leaving
+    row and for ties in the ratio test) guarantees termination.  The
+    float costs enter as exact rationals, so every comparison is exact
+    and the weights come out as exact rationals.
     """
     edges = query.edge_names
-    attrs = sorted(query.attributes)
     if not edges:
         return EdgeCover(weights={}, agm_bound=1.0)
     if query.sizes is not None:
-        cost = [math.log(max(query.size(e), 2)) for e in edges]
+        cost = [Fraction(math.log(max(query.size(e), 2))) for e in edges]
     else:
-        cost = [1.0] * len(edges)
-    # linprog solves min c·x s.t. A_ub x <= b_ub; covering is A x >= 1.
-    a_ub = np.zeros((len(attrs), len(edges)))
-    for i, v in enumerate(attrs):
-        for j, e in enumerate(edges):
-            if v in query.edges[e]:
-                a_ub[i, j] = -1.0
-    b_ub = -np.ones(len(attrs))
-    res = linprog(c=cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * len(edges), method="highs")
-    if not res.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"edge-cover LP failed: {res.message}")
-    weights = {e: float(x) for e, x in zip(edges, res.x)}
-    agm = _agm_value(query, weights)
-    return EdgeCover(weights=weights, agm_bound=agm)
+        cost = [Fraction(1)] * len(edges)
+    attrs = sorted(query.attributes)
+    n, m = len(edges), len(attrs)
+    # Row i is attribute i's constraint as an equality with slack s_i:
+    # -Σ_{e∋v} x_e + s_i = -1.  Columns: x_0..x_{n-1}, s_0..s_{m-1}, rhs.
+    rows = [[Fraction(-(v in query.edges[e])) for e in edges]
+            + [Fraction(i == k) for k in range(m)] + [Fraction(-1)]
+            for i, v in enumerate(attrs)]
+    reduced = cost + [Fraction(0)] * m
+    basis = list(range(n, n + m))
+    while True:
+        infeasible = [i for i in range(m) if rows[i][-1] < 0]
+        if not infeasible:
+            break
+        r = min(infeasible, key=basis.__getitem__)
+        row = rows[r]
+        # x = 1 is feasible, so an infeasible row has a negative entry.
+        j = min((j for j in range(n + m) if row[j] < 0),
+                key=lambda j: (reduced[j] / -row[j], j))
+        pivot = row[j]
+        row[:] = [a / pivot for a in row]
+        for other in rows:
+            if other is not row and other[j]:
+                f = other[j]
+                other[:] = [a - f * b for a, b in zip(other, row)]
+        f = reduced[j]
+        reduced = [a - f * b for a, b in zip(reduced, row)]
+        basis[r] = j
+    weights = {e: Fraction(0) for e in edges}
+    for i, b in enumerate(basis):
+        if b < n:
+            weights[edges[b]] = rows[i][-1]
+    return EdgeCover(weights=weights, agm_bound=_agm_value(query, weights))
 
 
 def optimal_integral_cover(query: JoinQuery) -> EdgeCover:
@@ -96,15 +119,15 @@ def optimal_integral_cover(query: JoinQuery) -> EdgeCover:
             best = (value, chosen)
     if best is None:
         raise ValueError("query has an attribute covered by no edge")
-    weights = {e: (1.0 if e in best[1] else 0.0) for e in edges}
+    weights = {e: Fraction(e in best[1]) for e in edges}
     return EdgeCover(weights=weights, agm_bound=_agm_value(query, weights))
 
 
-def _agm_value(query: JoinQuery, weights: dict[str, float]) -> float:
+def _agm_value(query: JoinQuery, weights: dict[str, Fraction]) -> float:
     if query.sizes is None:
         return float("nan")
-    return math.prod(query.size(e) ** x
-                     for e, x in weights.items() if x > 1e-12)
+    return math.prod(query.size(e) ** float(x)
+                     for e, x in weights.items() if x > 0)
 
 
 def agm_bound(query: JoinQuery) -> float:

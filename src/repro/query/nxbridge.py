@@ -10,6 +10,10 @@ our union-find acyclicity test against ``networkx.is_forest``.
 Also derives the *join forest* (edges as nodes, one arc per ear
 attachment) from the elimination order — the tree Yannakakis-style
 processing walks.
+
+networkx is not a runtime dependency: it comes with the ``test``
+extra (``pip install -e ".[test]"``).  Nothing else in the package
+imports this module.
 """
 
 from __future__ import annotations

@@ -1,16 +1,47 @@
 """Tests for edge covers and the AGM bound (Sections 2.2.1, 7.1)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query import (agm_bound, cover_number, fractional_edge_cover,
-                         greedy_minimum_edge_cover, line_query,
-                         lollipop_query, optimal_integral_cover, star_query,
-                         triangle_query)
+from repro.query import (JoinQuery, agm_bound, cover_number,
+                         fractional_edge_cover, greedy_minimum_edge_cover,
+                         line_query, lollipop_query, optimal_integral_cover,
+                         star_query, triangle_query)
 from repro.query.builders import dumbbell_query
+
+#: The 4-cycle ``C4``: ρ* = 2.
+C4 = JoinQuery(edges={"e1": {"a", "b"}, "e2": {"b", "c"},
+                      "e3": {"c", "d"}, "e4": {"d", "a"}})
+#: Loomis-Whitney ``LW_4``: one edge per 3-subset of 4 attributes,
+#: ρ* = 4/3 (each attribute lies in 3 of the 4 edges).
+LW4 = JoinQuery(edges={f"e{i}": set("abcd") - {v}
+                       for i, v in enumerate("abcd", 1)})
+
+
+@st.composite
+def random_hypergraphs(draw):
+    """Small, possibly cyclic queries, with or without sizes."""
+    attrs = "abcde"[:draw(st.integers(1, 5))]
+    edge_sets = draw(st.lists(
+        st.sets(st.sampled_from(attrs), min_size=1), min_size=1,
+        max_size=6))
+    edges = {f"e{i}": s for i, s in enumerate(edge_sets, 1)}
+    if draw(st.booleans()):
+        return JoinQuery(edges=edges)
+    return JoinQuery(edges=edges, sizes={
+        e: draw(st.integers(1, 500)) for e in edges})
+
+
+def _lp_cost(query, weights):
+    """``Σ c_e x_e`` in exact arithmetic, with the LP's own costs."""
+    if query.sizes is None:
+        return sum(weights.values(), Fraction(0))
+    return sum((Fraction(math.log(max(query.size(e), 2))) * x
+                for e, x in weights.items()), Fraction(0))
 
 
 class TestFractionalCover:
@@ -36,6 +67,7 @@ class TestFractionalCover:
         q = triangle_query([100, 100, 100])
         cover = fractional_edge_cover(q)
         assert not cover.is_integral()
+        assert cover.weights == {e: Fraction(1, 2) for e in q.edge_names}
         assert cover.agm_bound == pytest.approx(100 ** 1.5, rel=1e-6)
 
     def test_lp_matches_brute_force_on_acyclic(self):
@@ -48,11 +80,28 @@ class TestFractionalCover:
                                                  rel=1e-6)
 
     def test_unit_costs_without_sizes(self):
-        cover = fractional_edge_cover(line_query(5))
-        assert sum(cover.weights.values()) == pytest.approx(3.0)
+        for query, rho in [(line_query(5), 3), (C4, 2),
+                           (LW4, Fraction(4, 3))]:
+            cover = fractional_edge_cover(query)
+            assert sum(cover.weights.values()) == rho
+            # Equal sizes N make the AGM bound N^ρ*.
+            sized = query.with_sizes({e: 8 for e in query.edges})
+            assert agm_bound(sized) == pytest.approx(8 ** float(rho),
+                                                     rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_hypergraphs())
+    def test_cover_is_feasible_and_beats_integral(self, query):
+        cover = fractional_edge_cover(query)
+        for v in query.attributes:
+            assert sum((x for e, x in cover.weights.items()
+                        if v in query.edges[e]), Fraction(0)) >= 1
+        assert all(x >= 0 for x in cover.weights.values())
+        brute = optimal_integral_cover(query)
+        assert _lp_cost(query, cover.weights) <= _lp_cost(query,
+                                                          brute.weights)
 
     def test_empty_query(self):
-        from repro.query import JoinQuery
         assert fractional_edge_cover(JoinQuery(edges={})).agm_bound == 1.0
 
 
@@ -117,7 +166,6 @@ class TestGreedyCover:
             assert len(set(greedy.packing) & q.edges[e]) <= 1
 
     def test_uncoverable_query_rejected(self):
-        from repro.query import JoinQuery
         q = JoinQuery(edges={"e1": frozenset({"a"})})
         q2 = q.drop_edges(["e1"])
         # empty query covers trivially

@@ -18,6 +18,12 @@ SRC = ROOT / "src"
 BASELINE = ROOT / "lint-baseline.json"
 
 
+@pytest.fixture(scope="session")
+def src_lint():
+    """One whole-tree lint pass shared by every read-only test below."""
+    return lint_paths([SRC], root=ROOT)
+
+
 def test_committed_baseline_is_empty():
     doc = json.loads(BASELINE.read_text(encoding="utf-8"))
     assert doc["entries"] == [], (
@@ -42,39 +48,36 @@ def test_layer_has_zero_violations(layer):
     assert result.clean, "\n".join(v.render() for v in result.violations)
 
 
-def test_pragma_suppressions_are_few_and_only_em001():
+def test_pragma_suppressions_are_few_and_only_em001(src_lint):
     """Pragmas are reserved for host-side report writers (EM001).
 
     Current budget: 7 CLI report/baseline writers (lint report,
     effects and locks archives), 4 obs exporters/baselines, and the
     fitted-constants archive save/load in analysis/predict.py.
     """
-    result = lint_paths([SRC], root=ROOT)
-    codes = {v.code for v in result.suppressed_by_pragma}
+    codes = {v.code for v in src_lint.suppressed_by_pragma}
     assert codes <= {"EM001"}
-    assert len(result.suppressed_by_pragma) <= 13
+    assert len(src_lint.suppressed_by_pragma) <= 13
 
 
 # ------------------------------------------- effect signatures (emflow)
 
 
-def test_core_layer_never_reaches_raw_io():
+def test_core_layer_never_reaches_raw_io(src_lint):
     """The strongest statement emflow can make about the real tree:
     no function in core/ or em/ has PHYS_IO in its *whole-call-graph*
     signature — every byte the algorithms move is simulated."""
-    result = lint_paths([SRC], root=ROOT)
-    funcs = result.signatures["functions"]
+    funcs = src_lint.signatures["functions"]
     offenders = [q for q, e in funcs.items()
                  if e["layer"] in ("core", "em")
                  and "PHYS_IO" in e["effects"]]
     assert offenders == []
 
 
-def test_sanctioned_peek_sites_are_declared():
+def test_sanctioned_peek_sites_are_declared(src_lint):
     """The audited peek_tuples() uses carry FREE_PEEK declarations
     with justifications (the core/acyclic.py clone audit)."""
-    result = lint_paths([SRC], root=ROOT)
-    funcs = result.signatures["functions"]
+    funcs = src_lint.signatures["functions"]
     clone = funcs["repro.core.acyclic.clone_instance"]
     assert clone["declared"] == ["FREE_PEEK"]
     assert "pre-existing inputs" in clone["justification"]
@@ -82,11 +85,10 @@ def test_sanctioned_peek_sites_are_declared():
     assert sorted_probe["declared"] == ["FREE_PEEK"]
 
 
-def test_host_only_declarations_cover_every_export_writer():
+def test_host_only_declarations_cover_every_export_writer(src_lint):
     """Each pragma'd EM001 writer is also declared HOST_ONLY, so the
     effect pass proves nothing counted can reach it (EM011)."""
-    result = lint_paths([SRC], root=ROOT)
-    funcs = result.signatures["functions"]
+    funcs = src_lint.signatures["functions"]
     for qual in ("repro.obs.tracer.Tracer.export_jsonl",
                  "repro.obs.export.write_chrome_trace",
                  "repro.obs.baseline.write_baseline",
@@ -102,12 +104,11 @@ def test_host_only_declarations_cover_every_export_writer():
 # --------------------------------------------- lock discipline (emrace)
 
 
-def test_every_server_lock_guards_at_least_one_field():
+def test_every_server_lock_guards_at_least_one_field(src_lint):
     """A lock nobody declares a field against protects nothing — each
     ``threading.Lock``/``Condition`` attribute in server/ must carry
     at least one ``em-guarded-by`` declaration."""
-    result = lint_paths([SRC], root=ROOT)
-    locks = result.locks["locks"]
+    locks = src_lint.locks["locks"]
     server = {lid: e for lid, e in locks.items()
               if e["path"].startswith("src/repro/server/")}
     assert len(server) >= 7
@@ -115,52 +116,44 @@ def test_every_server_lock_guards_at_least_one_field():
     assert naked == [], f"server locks guarding no declared field: {naked}"
 
 
-def test_server_lock_order_graph_is_acyclic():
+def test_server_lock_order_graph_is_acyclic(src_lint):
     """The service layer's global lock order admits no deadlock."""
-    result = lint_paths([SRC], root=ROOT)
-    assert result.locks["order"]["cycles"] == []
-    assert result.locks["summary"]["order_edges"] >= 5
+    assert src_lint.locks["order"]["cycles"] == []
+    assert src_lint.locks["summary"]["order_edges"] >= 5
 
 
-def test_thread_roots_cover_the_service_entry_points():
+def test_thread_roots_cover_the_service_entry_points(src_lint):
     """The inferred thread roots name every way work enters: main,
     the HTTP handler pool, and the batch drain workers."""
-    result = lint_paths([SRC], root=ROOT)
-    roots = result.locks["roots"]
+    roots = src_lint.locks["roots"]
     assert "main" in roots and "http" in roots
     assert "thread:QueryService.execute_batch" in roots
     assert ("repro.server.service.QueryService.execute_batch"
             in roots["thread:QueryService.execute_batch"])
 
 
-def test_committed_locks_baseline_matches_reality():
+def test_committed_locks_baseline_matches_reality(src_lint):
     """The drift gate's committed archive agrees with a fresh pass."""
     from repro.lint import compact_lock_signatures, compare_lock_signatures
     committed = json.loads(
         (ROOT / "locks-baseline.json").read_text(encoding="utf-8"))
-    result = lint_paths([SRC], root=ROOT)
-    failures, notices = compare_lock_signatures(committed, result.locks)
+    failures, notices = compare_lock_signatures(committed, src_lint.locks)
     assert failures == [], failures
     assert notices == [], notices
-    assert committed == compact_lock_signatures(result.locks)
+    assert committed == compact_lock_signatures(src_lint.locks)
 
 
-def test_coarse_locks_are_exactly_the_sanctioned_two():
+def test_coarse_locks_are_exactly_the_sanctioned_two(src_lint):
     """Coarse (held-across-blocking) locks are an explicit, short
     list: the session serializer and the shared-pool funnel.  Adding
     one is a design decision, not an annotation convenience."""
-    result = lint_paths([SRC], root=ROOT)
-    coarse = sorted(lid for lid, e in result.locks["locks"].items()
+    coarse = sorted(lid for lid, e in src_lint.locks["locks"].items()
                     if e["coarse"])
     assert coarse == ["repro.server.pool.SharedPool.lock",
                       "repro.server.session.Session._lock"]
 
 
 # ----------------------------------------------- symbolic costs (emcost)
-
-
-def _cost_table():
-    return lint_paths([SRC], root=ROOT).costs["functions"]
 
 
 #: Table 1 algorithms whose ``# em-cost:`` declaration is *checked*
@@ -183,11 +176,11 @@ CHECKED_TABLE1 = [
 ]
 
 
-def test_every_table1_algorithm_declares_its_bound():
+def test_every_table1_algorithm_declares_its_bound(src_lint):
     """Each algorithm entry point carries an ``# em-cost:`` bound, and
     for the checked (non-amortized) ones the derived symbolic cost
     equals the declaration exactly."""
-    table = _cost_table()
+    table = src_lint.costs["functions"]
     for qn in CHECKED_TABLE1:
         entry = table[qn]
         assert entry["declared"] is not None, qn
@@ -208,7 +201,7 @@ def test_every_table1_algorithm_declares_its_bound():
         assert entry["justification"], qn
 
 
-def test_derived_costs_match_closed_form_bounds():
+def test_derived_costs_match_closed_form_bounds(src_lint):
     """Cross-check: evaluating each derived symbolic expression
     numerically agrees with ``analysis/bounds.py``'s closed forms to
     within a constant factor, across an (N, M, B) sweep."""
@@ -237,7 +230,7 @@ def test_derived_costs_match_closed_form_bounds():
         ("repro.core.yannakakis_em.yannakakis_em",
          lambda N, M, B: bounds.yannakakis_em_bound(N, 3 * N, M, B)),
     ]
-    table = _cost_table()
+    table = src_lint.costs["functions"]
     sweep = [(2 ** 20, 2 ** 10, 32), (2 ** 18, 2 ** 12, 64),
              (2 ** 16, 2 ** 8, 16)]
     for qn, closed_form in cases:
@@ -254,24 +247,23 @@ def test_derived_costs_match_closed_form_bounds():
                 f"{derived:.3g} vs closed form {expected:.3g}")
 
 
-def test_committed_costs_baseline_matches_reality():
+def test_committed_costs_baseline_matches_reality(src_lint):
     """The ``--check-costs`` committed archive agrees with a fresh
     derivation pass."""
     from repro.lint import (compact_cost_signatures,
                             compare_cost_signatures)
     committed = json.loads(
         (ROOT / "costs-baseline.json").read_text(encoding="utf-8"))
-    result = lint_paths([SRC], root=ROOT)
-    failures, notices = compare_cost_signatures(committed, result.costs)
+    failures, notices = compare_cost_signatures(committed, src_lint.costs)
     assert failures == [], failures
     assert notices == [], notices
-    assert committed == compact_cost_signatures(result.costs)
+    assert committed == compact_cost_signatures(src_lint.costs)
 
 
-def test_no_declaration_carries_a_placeholder_justification():
+def test_no_declaration_carries_a_placeholder_justification(src_lint):
     """Every ``# em-cost:`` justification in the tree is real — the
     placeholder the gates reject never ships."""
-    table = _cost_table()
+    table = src_lint.costs["functions"]
     offenders = [qn for qn, e in table.items()
                  if str(e.get("justification", "")).startswith(
                      "TODO: justify")]
