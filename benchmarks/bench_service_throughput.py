@@ -19,11 +19,11 @@ Reported per configuration: queries/sec and per-query wall p50/p99
 counters, which are *deterministic* and pinned in
 ``BENCH_service.json``:
 
-* pool off, any concurrency: every query costs exactly the solo-run
-  207 I/Os and 256 results — the byte-identity guarantee;
+* pool off, any concurrency: every query costs exactly the solo run's
+  I/O and 256 results — the byte-identity guarantee;
 * pool on, any concurrency: the 17 base-relation pages miss exactly
   once service-wide, every other logical read hits, each query writes
-  back its own 80 intermediate pages, and nothing is evicted
+  back its own intermediate pages, and nothing is evicted
   (aggregates are schedule-independent because request ``i`` always
   runs on worker ``i mod c`` and frames are keyed by shared labels);
 * flight recorder on (the default) vs off: identical counters — the
@@ -298,9 +298,11 @@ def test_service_throughput(benchmark, capsys):
         print()
         print_report(doc)
     det = doc["deterministic"]
+    pinned = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+    solo = pinned["deterministic"]["serial"]["per_query_io_totals"]
     # Byte-identity: every query through the service costs the solo run.
-    assert det["service_pool_off"]["per_query_io_totals"] == [207]
-    assert det["serial"]["per_query_io_totals"] == [207]
+    assert det["service_pool_off"]["per_query_io_totals"] == solo
+    assert det["serial"]["per_query_io_totals"] == solo
     assert det["service_pool_on"]["cache_aggregate"]["evictions"] == 0
 
 

@@ -32,6 +32,15 @@ from pathlib import Path
 
 N_CLIENTS = 8
 QUERIES_PER_CLIENT = 6
+#: Pages of the line-3 dataset, faulted into the pool once service-wide.
+BASE_PAGES = 17
+BENCH_TABLE1 = Path(__file__).parent / "BENCH_table1.json"
+
+
+def pinned_writes() -> int:
+    """Intermediate pages one line-3 query writes (the pinned solo run)."""
+    doc = json.loads(BENCH_TABLE1.read_text(encoding="utf-8"))
+    return doc["classes"]["line3_planner"]["pool_off"]["io"]["writes"]
 
 
 def write_dataset(tmpdir: Path) -> list[str]:
@@ -82,6 +91,7 @@ def main() -> int:
         table_args = write_dataset(Path(td))
         proc, port = start_server(table_args)
         base = f"http://127.0.0.1:{port}"
+        writes = pinned_writes()
         try:
             errors: list[BaseException] = []
             io_totals: list[int] = []
@@ -91,11 +101,12 @@ def main() -> int:
                     for i in range(QUERIES_PER_CLIENT):
                         doc = post_query(base, c, i)
                         assert doc["results"] == 256, doc["results"]
-                        # Warm queries cost their 80 intermediate
+                        # Warm queries cost their own intermediate
                         # writes; whoever faults base pages pays up to
-                        # 17 more.  (Which query pays is a race; the
-                        # sum is not.)
-                        assert 80 <= doc["io"]["total"] <= 97, doc
+                        # BASE_PAGES more.  (Which query pays is a
+                        # race; the sum is not.)
+                        assert (writes <= doc["io"]["total"]
+                                <= writes + BASE_PAGES), doc
                         io_totals.append(doc["io"]["total"])
                 except BaseException as exc:  # noqa: BLE001 - reported
                     errors.append(exc)
@@ -109,9 +120,10 @@ def main() -> int:
             if errors:
                 raise errors[0]
             total = N_CLIENTS * QUERIES_PER_CLIENT
-            # Schedule-independent: 80 writebacks per query, plus the
-            # 17 base pages faulted exactly once service-wide.
-            assert sum(io_totals) == total * 80 + 17, sum(io_totals)
+            # Schedule-independent: the pinned writebacks per query,
+            # plus the base pages faulted exactly once service-wide.
+            assert sum(io_totals) == total * writes + BASE_PAGES, \
+                sum(io_totals)
 
             with urllib.request.urlopen(f"{base}/metrics",
                                         timeout=10) as resp:

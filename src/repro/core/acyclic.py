@@ -19,6 +19,20 @@ The recursion peels the query one relation at a time:
   against the load, ``e`` (but not ``v``) is removed, and recursive
   results are matched back to the load on ``v`` (line 21–27).
 
+Sorting once per branch.  Sibling recursive calls (one per heavy value
+and memory load, one per light load, one per island chunk) receive many
+relations unchanged, and each would re-sort them on the same attribute.
+:func:`acyclic_join` therefore keeps a sort memo for its branch, keyed
+by relation identity.  It covers the branch's input relations for the
+whole run, and every relation a peel hands unchanged to several sibling
+calls while those calls run: the relations a leaf peel leaves alone,
+a heavy value's restrictions ``R(e')|_{v=a}`` across its memory loads,
+an island's fellow relations across its chunks.  The first sort of a
+covered relation on an attribute is charged and the copy reused, so the
+memo holds at most one sorted copy per (relation, attribute).  Other
+intermediates (semijoin results, restrictions whose loop has finished)
+are never pinned.
+
 Nondeterminism.  The paper simulates all branches round-robin and stops
 with the first to finish, attaining the best branch's cost up to a
 constant factor (constant query size).  We realize the same guarantee
@@ -40,8 +54,9 @@ participating tuple at emit time, keeping the emit model exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.core.emit import Emitter
 from repro.data.instance import Instance
@@ -61,6 +76,8 @@ EmitFn = Callable[[Mapping[str, tuple]], None]
 Chooser = Callable[[JoinQuery, Instance], str]
 PlanKey = frozenset
 Plan = dict[PlanKey, str]
+#: ``id(covered relation) -> {attribute: sorted copy}`` for one branch.
+SortMemo = dict[int, dict[str, Relation]]
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +111,10 @@ def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
     if not edges:
         return
     device = instance[edges[0]].device
-    with device.span("acyclic_join", kind="algorithm", edges=len(edges)):
-        _run(query, instance, emitter.emit, pick,
+    memo: SortMemo = {}
+    with device.span("acyclic_join", kind="algorithm", edges=len(edges)), \
+            _covering(memo, instance.values()):
+        _run(query, instance, emitter.emit, pick, memo,
              literal_buds=paper_literal_buds, trace=trace)
 
 
@@ -155,6 +174,36 @@ def plan_chooser(plan: Plan) -> Chooser:
     return choose
 
 
+@contextmanager
+def _covering(memo: SortMemo, rels: Iterable[Relation]) -> Iterator[None]:
+    """Cover ``rels`` in ``memo`` while sibling calls share them.
+
+    Each covered relation is sorted at most once per attribute until
+    the block exits; relations already covered stay as they are.  The
+    caller keeps ``rels`` alive for the whole block, so their ids stay
+    unique.
+    """
+    added = [id(r) for r in rels if id(r) not in memo]
+    memo.update((k, {}) for k in added)
+    try:
+        yield
+    finally:
+        for k in added:
+            del memo[k]
+
+
+# em-cost: N/B * log(N/M) -- at most one external sort of ``rel``
+def _sorted(rel: Relation, attr: str, memo: SortMemo) -> Relation:
+    """``rel`` sorted on ``attr``; a covered relation is sorted once."""
+    copies = memo.get(id(rel))          # None: not covered
+    if copies is not None and attr in copies:
+        return copies[attr]
+    out = rel.sort_by(attr)
+    if copies is not None:
+        copies[attr] = out
+    return out
+
+
 def _check_alignment(query: JoinQuery, instance: Instance) -> None:
     for e in query.edge_names:
         if e not in instance:
@@ -174,7 +223,7 @@ def _check_alignment(query: JoinQuery, instance: Instance) -> None:
 # re-runs children once per memory load, multiplying by at most N/M
 # per level, stated up to the L8 depth the line dispatcher handles
 def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
-         pick: Chooser, *, literal_buds: bool = False,
+         pick: Chooser, memo: SortMemo, *, literal_buds: bool = False,
          trace=None, depth: int = 0) -> None:
     edges = query.edge_names
     if not edges:
@@ -191,7 +240,7 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
     if buds:
         if trace is not None:
             trace.record(depth, "bud", buds[0])
-        _peel_bud(query, inst, emit, pick, buds[0],
+        _peel_bud(query, inst, emit, pick, memo, buds[0],
                   literal=literal_buds, trace=trace, depth=depth)
         return
 
@@ -200,7 +249,7 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
         if trace is not None:
             trace.record(depth, "island", islands[0],
                          f"{len(inst[islands[0]])} tuples")
-        _peel_island(query, inst, emit, pick, islands[0],
+        _peel_island(query, inst, emit, pick, memo, islands[0],
                      literal_buds=literal_buds, trace=trace, depth=depth)
         return
 
@@ -208,8 +257,8 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
     if not find_leaves(query) or leaf not in find_leaves(query):
         raise ValueError(f"chooser returned {leaf!r}, not a leaf of "
                          f"{dict(query.edges)}")
-    _peel_leaf(query, inst, emit, pick, leaf, literal_buds=literal_buds,
-               trace=trace, depth=depth)
+    _peel_leaf(query, inst, emit, pick, memo, leaf,
+               literal_buds=literal_buds, trace=trace, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +266,10 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
 # ---------------------------------------------------------------------------
 
 def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
-              pick: Chooser, bud: str, *, literal: bool = False,
-              trace=None, depth: int = 0) -> None:
+              pick: Chooser, memo: SortMemo, bud: str, *,
+              literal: bool = False, trace=None, depth: int = 0) -> None:
     (w,) = query.edges[bud]
-    bud_rel = inst[bud].sort_by(w)
+    bud_rel = _sorted(inst[bud], w, memo)
     sharers = [e for e in query.edge_names
                if e != bud and w in query.edges[e]]
 
@@ -230,7 +279,7 @@ def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
         # em-loop-bound: 1 -- one sharer per query edge, and the edge
         # count is a query-size constant
         for e2 in sharers:
-            rel2 = inst[e2].sort_by(w)
+            rel2 = _sorted(inst[e2], w, memo)
             rebound[e2] = _merge_semijoin(rel2, bud_rel, w)
 
     bud_schema = bud_rel.schema
@@ -250,7 +299,7 @@ def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
         emit(out)
 
     _run(query.drop_edges([bud]), Instance(rebound), child_emit, pick,
-         literal_buds=literal, trace=trace, depth=depth + 1)
+         memo, literal_buds=literal, trace=trace, depth=depth + 1)
 
 
 def _merge_semijoin(rel: Relation, filter_rel: Relation,
@@ -288,21 +337,22 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
 # ---------------------------------------------------------------------------
 
 def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
-                 pick: Chooser, island: str, *,
+                 pick: Chooser, memo: SortMemo, island: str, *,
                  literal_buds: bool = False, trace=None,
                  depth: int = 0) -> None:
     child_q = query.drop_edges([island])
     child_inst = inst.drop(island)
-    for chunk in load_chunks(inst[island].data, inst[island].device.M):
+    with _covering(memo, child_inst.values()):
+        for chunk in load_chunks(inst[island].data, inst[island].device.M):
 
-        def child_emit(result: Mapping[str, tuple]) -> None:
-            out = dict(result)
-            for t in chunk:
-                out[island] = t
-                emit(dict(out))
+            def child_emit(result, _chunk=chunk):
+                out = dict(result)
+                for t in _chunk:
+                    out[island] = t
+                    emit(dict(out))
 
-        _run(child_q, child_inst, child_emit, pick,
-             literal_buds=literal_buds, trace=trace, depth=depth + 1)
+            _run(child_q, child_inst, child_emit, pick, memo,
+                 literal_buds=literal_buds, trace=trace, depth=depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +360,7 @@ def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
 # ---------------------------------------------------------------------------
 
 def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
-               pick: Chooser, leaf: str, *,
+               pick: Chooser, memo: SortMemo, leaf: str, *,
                literal_buds: bool = False, trace=None,
                depth: int = 0) -> None:
     info = leaf_info(query, leaf)
@@ -318,10 +368,10 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
     device = inst[leaf].device
     M = device.M
 
-    rel_e = inst[leaf].sort_by(v)                       # line 12
+    rel_e = _sorted(inst[leaf], v, memo)                # line 12
     # em-loop-bound: 1 -- one sort per neighbor, and the neighbor
     # count is a query-size constant
-    neighbors = {e2: inst[e2].sort_by(v)                # line 13
+    neighbors = {e2: _sorted(inst[e2], v, memo)         # line 13
                  for e2 in sorted(info.neighbors)}
 
     key_e = rel_e.key(v)
@@ -343,16 +393,20 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
         trace.record(depth, "leaf", leaf,
                      f"v={info.join_attr} heavy={len(heavy)} "
                      f"light={len(light)}")
-    _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     nb_groups, heavy, M, literal_buds=literal_buds,
-                     trace=trace, depth=depth)
-    _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     light, M, literal_buds=literal_buds, trace=trace,
-                     depth=depth)
+    # every heavy value's and light load's call gets the relations
+    # the peel leaves unchanged
+    with _covering(memo, inst.values()):
+        _peel_leaf_heavy(query, inst, emit, pick, memo, leaf, info, rel_e,
+                         neighbors, nb_groups, heavy, M,
+                         literal_buds=literal_buds, trace=trace,
+                         depth=depth)
+        _peel_leaf_light(query, inst, emit, pick, memo, leaf, info, rel_e,
+                         neighbors, light, M, literal_buds=literal_buds,
+                         trace=trace, depth=depth)
 
 
-def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     nb_groups, heavy_groups, M, *,
+def _peel_leaf_heavy(query, inst, emit, pick, memo, leaf, info, rel_e,
+                     neighbors, nb_groups, heavy_groups, M, *,
                      literal_buds: bool = False, trace=None,
                      depth: int = 0) -> None:
     """Lines 14-20: one restricted, disconnected subquery per heavy value."""
@@ -378,20 +432,23 @@ def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
         del rebound[leaf]
         rebound.update(restricted)
         child_inst = Instance(rebound)
-        for chunk in load_group_chunks(rel_e.data, g, M):
+        # every load of R(e)|a recurses on the same restrictions
+        with _covering(memo, restricted.values()):
+            for chunk in load_group_chunks(rel_e.data, g, M):
 
-            def child_emit(result, _chunk=chunk):
-                out = dict(result)
-                for t in _chunk:          # all share v = a: cross-combine
-                    out[leaf] = t
-                    emit(dict(out))
+                def child_emit(result, _chunk=chunk):
+                    out = dict(result)
+                    for t in _chunk:      # all share v = a: cross-combine
+                        out[leaf] = t
+                        emit(dict(out))
 
-            _run(child_q, child_inst, child_emit, pick,
-                 literal_buds=literal_buds, trace=trace, depth=depth + 1)
+                _run(child_q, child_inst, child_emit, pick, memo,
+                     literal_buds=literal_buds, trace=trace,
+                     depth=depth + 1)
 
 
-def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     light_groups, M, *, literal_buds: bool = False,
+def _peel_leaf_light(query, inst, emit, pick, memo, leaf, info, rel_e,
+                     neighbors, light_groups, M, *, literal_buds: bool = False,
                      trace=None, depth: int = 0) -> None:
     """Lines 21-27: chunked light values with semijoin-filtered neighbors.
 
@@ -445,7 +502,7 @@ def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
                 out[leaf] = t
                 emit(dict(out))
 
-        _run(child_q, child_inst, child_emit, pick,
+        _run(child_q, child_inst, child_emit, pick, memo,
              literal_buds=literal_buds, trace=trace, depth=depth + 1)
 
 
@@ -631,6 +688,9 @@ def clone_instance(instance: Instance,  # em-effects: FREE_PEEK -- re-creates pr
                  buffer_pool=src.pool_config)
     rels = {}
     for name, rel in instance.items():
-        rels[name] = Relation.from_tuples(dev, rel.schema,
-                                          rel.peek_tuples())
+        copy = Relation.from_tuples(dev, rel.schema, rel.peek_tuples())
+        # keep the order and restriction metadata too: a copy that
+        # forgot ``sorted_on`` would pay sorts the real run skips
+        rels[name] = replace(copy, sorted_on=rel.sorted_on,
+                             fixed=rel.fixed)
     return dev, Instance(rels)

@@ -8,8 +8,8 @@ from repro import Device, Instance
 from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
                         acyclic_join_best, clone_instance, end_chooser,
                         enumerate_plans, first_leaf_chooser,
-                        largest_leaf_chooser, plan_chooser,
-                        smallest_leaf_chooser)
+                        full_reduce_em, largest_leaf_chooser,
+                        plan_chooser, smallest_leaf_chooser)
 from repro.internal import join_query
 from repro.query import (JoinQuery, dumbbell_query, line_query,
                          lollipop_query, star_query, triangle_query)
@@ -219,6 +219,36 @@ class TestPlans:
         dev2, inst2 = clone_instance(inst)
         assert dev2.stats.total == 0
         assert sorted(inst2["e1"].peek_tuples()) == sorted(data["e1"])
+
+    def test_clone_instance_keeps_order_and_restrictions(self):
+        device = Device(M=8, B=2)
+        inst = Instance.from_dicts(
+            device, {"e1": ("v1", "v2"), "e2": ("v2", "v3")},
+            {"e1": [(1, 5), (3, 7), (2, 5)], "e2": [(5, 1)]})
+        e1 = inst["e1"].sort_by("v2").restrict(0, 2, attribute="v2",
+                                                value=5)
+        _, inst2 = clone_instance(inst.replace(e1=e1))
+        assert inst2["e1"].sorted_on == "v2"
+        assert dict(inst2["e1"].fixed) == {"v2": 5}
+        assert list(inst2["e1"].peek_tuples()) == [(1, 5), (2, 5)]
+        assert inst2["e2"].sorted_on is None
+
+    @pytest.mark.parametrize("query,size,domain", [
+        (star_query(3), 150, 60), (line_query(4), 150, 100)],
+        ids=["star3", "L4"])
+    def test_explored_cost_equals_charged_cost(self, query, size, domain):
+        """A branch explored on a cloned device costs exactly what the
+        same branch charges when run for real — also on a reduced
+        instance, whose relations arrive already sorted."""
+        schemas, data = uniform_instance(query, size, domain, seed=2)
+        device = Device(M=16, B=4)
+        inst = full_reduce_em(query,
+                              Instance.from_dicts(device, schemas, data))
+        assert any(r.sorted_on for r in inst.values())
+        before = device.stats.snapshot()
+        best = acyclic_join_best(query, inst, CountingEmitter(), limit=16)
+        charged = device.stats.delta_since(before)
+        assert best.best.io == charged.reads + charged.writes
 
 
 class TestMemoryBudget:

@@ -266,8 +266,13 @@ class TestFitCommand:
         assert "fit:two_relations" in names
 
     def test_fit_tight_eps_flags_regression(self, capsys):
-        """With eps ~ 0 any real sweep's slope trips the gate."""
-        rc = main(["fit", "star", "--eps", "0.0001"])
+        """With eps ~ 0 a sweep whose slope exceeds 1 trips the gate.
+
+        ``two_relations`` fits with slope 1.050; the star sweep's fell
+        below 1 once Algorithm 2 stopped re-sorting its inputs, so it
+        no longer exercises the gate.
+        """
+        rc = main(["fit", "two_relations", "--eps", "0.0001"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "REGRESSION" in out

@@ -5,6 +5,12 @@ instances *before* the buffer-pool subsystem existed.  With the pool
 disabled (the default), the routing through ``Device.charge_read`` /
 ``charge_write`` must reproduce them exactly — the paper-faithful
 accounting is the contract every benchmark number rests on.
+
+The planner's line-3 triple and the star triple were re-pinned once,
+on purpose, when sorting became once per query: the reducer keeps its
+sorted copies and Algorithm 2 sorts each branch input once, so both
+runs pay fewer sorts (``(127, 80)`` -> ``(109, 62)`` and
+``(210, 157)`` -> ``(135, 82)``).
 """
 
 from repro import Device, Instance, Tracer
@@ -43,7 +49,7 @@ class TestSeedCounts:
         schemas, data = star_worstcase_instance([16, 16])
         got = measure(star_query(2), schemas, data, 4, 2,
                       lambda q, i, e: acyclic_join_best(q, i, e, limit=16))
-        assert got == (210, 157, 256)
+        assert got == (135, 82, 256)
 
     def test_tracer_does_not_change_any_count(self):
         """A tracer is a pure observer: with one attached, every seed
@@ -78,4 +84,4 @@ class TestSeedCounts:
         report = execute(line_query(3), instance, emitter)
         assert report.algorithm == "algorithm-1"
         assert (device.stats.reads, device.stats.writes,
-                emitter.count) == (127, 80, 256)
+                emitter.count) == (109, 62, 256)
