@@ -5,7 +5,10 @@ Paper claim: with all relations of size ``N``, Algorithm 2 costs
 ``Õ((N/M)^c · M/B)`` where ``c`` is the minimum edge cover number, and
 this is optimal (vertex-packing construction).  We sweep ``N`` for
 query classes with different ``c`` and check the measured growth
-exponent: doubling ``N`` should multiply I/O by ≈ ``2^c``.
+exponent: doubling ``N`` should multiply I/O by about what it
+multiplies the bound by.  That is ``2^c`` once ``(N/M)^c`` dominates,
+but at these small ``N`` the linear ``|E|·N/B`` term still counts, so
+the bound itself grows with an exponent that can differ from ``c``.
 """
 
 import math
@@ -15,6 +18,8 @@ from repro.analysis import equal_size_bound
 from repro.query import cover_number, line_query, lollipop_query, star_query
 from repro.workloads import equal_size_packing_instance
 
+
+M, B = 4, 2
 
 FAMILIES = [
     ("L3 (c=2)", line_query(3), (8, 16, 32)),
@@ -26,7 +31,6 @@ FAMILIES = [
 
 def sweep():
     rows = []
-    M, B = 4, 2
     for label, q, ns in FAMILIES:
         c = cover_number(q)
         prev = None
@@ -51,10 +55,13 @@ def test_equal_size_scaling(benchmark, capsys):
     for r in rows:
         assert r["results(N^c)"] == r["N"] ** r["c"]
         assert r["io/bound"] <= 20.0
-    # Growth exponent check per family: log2(growth) ≈ c.
+    # Growth exponent check per doubling: log2(growth) is within 1.2
+    # of the bound's own exponent over the same doubling.
     for label, q, ns in FAMILIES:
         fam = [r for r in rows if r["family"] == label]
-        c = fam[0]["c"]
         for a, b in zip(fam, fam[1:]):
             exponent = math.log2(b["io"] / a["io"])
-            assert c - 1.2 <= exponent <= c + 1.2, (label, exponent)
+            expected = math.log2(equal_size_bound(q, b["N"], M, B)
+                                 / equal_size_bound(q, a["N"], M, B))
+            assert expected - 1.2 <= exponent <= expected + 1.2, (
+                label, a["N"], exponent, expected)

@@ -452,7 +452,7 @@ def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
         # Deferred dirty pages are written back here, after the join /
         # reduce snapshots — attribute them rather than letting them
         # inflate "(unattributed)".
-        with device.phases.phase("pool-flush"):
+        with device.span("pool-flush", kind="phase"):
             device.flush_pool()
 
     cert = None

@@ -327,7 +327,7 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
             if not right.exhausted and key_r(right.peek()) == kv:
                 yield t
 
-    with rel.device.phases.phase("semijoin"):
+    with rel.device.span("semijoin", kind="phase"):
         return rel.rewrite(matches(), label=f"sj_{filter_rel.name}",
                            sorted_on=attr)
 

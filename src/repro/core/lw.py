@@ -91,7 +91,7 @@ def lw_join(query: JoinQuery, instance: Instance, emitter: Emitter, *,
         # attributes: p^{n-1} cells per relation, one copy of each
         # tuple.
         cells: dict[str, dict[tuple[int, ...], Relation]] = {}
-        with device.phases.phase("partition"):
+        with device.span("partition", kind="phase"):
             for e in query.edge_names:
                 cells[e] = _partition(instance[e], attrs, p)
 

@@ -96,7 +96,7 @@ def triangle_join(query: JoinQuery, instance: Instance, emitter: Emitter,
     # p² cells per relation, each written once (p·N/B total per
     # dimension pair since every tuple lands in exactly one cell).
     with device.span("triangle_join", kind="algorithm", n=n, p=p):
-        with device.phases.phase("partition"):
+        with device.span("partition", kind="phase"):
             cells1 = _partition(r1, a, b, p)  # R1[a-bucket][b-bucket]
             cells2 = _partition(r2, b, c, p)  # R2[b-bucket][c-bucket]
             cells3 = _partition(r3, a, c, p)  # R3[a-bucket][c-bucket]

@@ -84,7 +84,7 @@ class Relation:
         """
         if self.sorted_on == attribute:
             return self
-        with self.device.phases.phase("sort"):
+        with self.device.span("sort", kind="phase"):
             out = external_sort(self.data, self.key(attribute),
                                 name=f"{self.name}.by_{attribute}")
         return replace(self, data=out.whole(), sorted_on=attribute)

@@ -183,11 +183,11 @@ class BufferPool:
         frame = self._frames.get(key)
         if frame is not None:
             dev.stats.cache.hits += 1
-            dev._notify_cache("hit", f, page)
+            dev._trace("hit", f, page)
             self.policy.on_access(key)
             return
         dev.stats.cache.misses += 1
-        dev._notify_cache("miss", f, page)
+        dev._trace("miss", f, page)
         dev._record_read(f, page)
         self._admit(key, dirty=False, via=dev)
 
@@ -346,7 +346,7 @@ class BufferPool:
         dev = frame.dirtied_by or self.device
         dev._record_write(key[0], key[1])
         dev.stats.cache.writebacks += 1
-        dev._notify_cache("writeback", key[0], key[1])
+        dev._trace("writeback", key[0], key[1])
         frame.dirty = False
         frame.dirtied_by = None
 
@@ -369,7 +369,7 @@ class BufferPool:
             return False
         frame = self._frames.pop(victim)
         dev.stats.cache.evictions += 1
-        dev._notify_cache("eviction", victim[0], victim[1])
+        dev._trace("eviction", victim[0], victim[1])
         if frame.dirty:
             self._write_back(victim, frame)
         return True

@@ -19,13 +19,13 @@ Typical use::
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.em.bufferpool import BufferPool, PoolConfig
-from repro.em.stats import IOStats, MemoryGauge, PhaseTracker
+from repro.em.stats import IOStats, MemoryGauge, PhaseTracker, Region
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.spans import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.em.file import EMFile
@@ -60,10 +60,9 @@ class Device:
         Purely passive: with or without a tracer, every counter is
         byte-identical.
     profiler:
-        An optional :class:`~repro.obs.spans.SpanProfiler`; spans
-        opened through :meth:`span` (and by every
-        :class:`~repro.em.stats.PhaseTracker` phase) snapshot the
-        counters at entry/exit.  Passive like the tracer.
+        An optional :class:`~repro.obs.spans.SpanProfiler` recording
+        a node for each region :meth:`span` opens, with the counters
+        at entry and exit.  Passive like the tracer.
     metrics:
         An optional :class:`~repro.obs.metrics.MetricsRegistry`.
         Without one the device carries the shared
@@ -118,27 +117,23 @@ class Device:
     def attach_tracer(self, tracer) -> None:
         """Wire ``tracer`` into every accounting hook of this device."""
         self.tracer = tracer
-        self.phases._tracer = tracer
         self.memory._tracer = tracer
 
     def detach_tracer(self) -> None:
         """Stop observing; counters are unaffected either way."""
         self.tracer = None
-        self.phases._tracer = None
         self.memory._tracer = None
 
     def attach_profiler(self, profiler) -> None:
-        """Wire ``profiler`` in: :meth:`span` records, phases emit spans."""
+        """Wire ``profiler`` in: it records the regions :meth:`span` opens."""
         self.profiler = profiler
         profiler.attach(self)
-        self.phases._profiler = profiler
 
     def detach_profiler(self) -> None:
         """Stop profiling; counters are unaffected either way."""
         if self.profiler is not None:
             self.profiler.detach()
         self.profiler = None
-        self.phases._profiler = None
 
     def attach_metrics(self, metrics) -> None:
         """Make ``metrics`` the registry instrumented code populates."""
@@ -164,19 +159,35 @@ class Device:
         """Charge directly again (the paper-faithful default)."""
         self.pool = None
 
-    def span(self, name: str, kind: str = "operator", **attrs):
-        """A profiled span, or the shared no-op when profiling is off.
+    @contextlib.contextmanager
+    def span(self, name: str, kind: str = "operator",
+             **attrs) -> Iterator[Region]:
+        """Open a region on this device's stack for the enclosed scope.
 
-        Instrumented code uses this unconditionally::
+        The only way to open one, profiled or not::
 
-            with device.span("merge", fan_in=k):
+            with device.span("sort", kind="phase", n=n):
                 ...
 
-        which costs one attribute check when no profiler is attached.
+        An attached profiler and tracer only observe the stack.
         """
-        if self.profiler is None:
-            return NULL_SPAN
-        return self.profiler.span(name, kind, **attrs)
+        phases = self.phases
+        parent = phases.innermost
+        region = phases.open(name, kind, attrs)
+        if self.profiler is not None:
+            region.node = self.profiler.on_open(
+                region, parent.node if parent is not None else None)
+        is_phase = kind == "phase"
+        if is_phase and self.tracer is not None:
+            self.tracer.on_phase_enter(name)
+        try:
+            yield region
+        finally:
+            phase_io, span_io = phases.close(region)
+            if region.node is not None and self.profiler is not None:
+                self.profiler.on_close(region.node, span_io)
+            if is_phase and self.tracer is not None:
+                self.tracer.on_phase_exit(name, phase_io)
 
     @staticmethod
     def _file_label(f) -> str:
@@ -211,18 +222,20 @@ class Device:
         """
         self.stats.reads += 1
         if self.tracer is not None:
-            self.tracer.on_read(self._file_label(f), page)
+            self._trace("read", f, page)
 
     def _record_write(self, f, page: int) -> None:
         """Count one *physical* page write (see :meth:`_record_read`)."""
         self.stats.writes += 1
         if self.tracer is not None:
-            self.tracer.on_write(self._file_label(f), page)
+            self._trace("write", f, page)
 
-    def _notify_cache(self, kind: str, f, page: int) -> None:
-        """Forward a pool event (hit/miss/eviction/writeback) if traced."""
+    def _trace(self, kind: str, f, page: int) -> None:
+        """Forward a charge or pool event (hit/miss/eviction/writeback)
+        to the tracer, if any, with the open phase labels."""
         if self.tracer is not None:
-            self.tracer.on_cache(kind, self._file_label(f), page)
+            self.tracer.on_charge(kind, self._file_label(f), page,
+                                  self.phases.labels())
 
     def flush_pool(self) -> None:
         """Write back deferred dirty pages; a no-op without a pool.
@@ -257,9 +270,8 @@ class Device:
         Used to set up benchmark inputs: the paper's model charges for
         the algorithm's work, not for the pre-existing input relations.
         Counting is *suspended* for the duration (not rewound after the
-        fact): rewinding would erase I/O an open
-        :class:`~repro.em.stats.PhaseTracker` phase already attributed,
-        driving its exclusive total negative.
+        fact): rewinding would erase I/O an open phase already
+        attributed, driving its exclusive total negative.
         """
         with self.stats.suspend():
             return self.file_from_tuples(tuples, name)
@@ -272,8 +284,11 @@ class Device:
         """Zero the I/O counters, phase totals, and the memory gauge.
 
         A buffer pool is emptied without write-back: its deferred
-        writes belong to the history being discarded.
+        writes belong to the history being discarded.  Raises
+        ``RuntimeError``, before zeroing anything, while a region is
+        open.
         """
+        self.phases.check_closed()
         self.stats.reset()
         self.memory.reset()
         self.phases.reset()

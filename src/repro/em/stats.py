@@ -16,6 +16,11 @@ Two cost meters live in this module:
   paper assumes a memory of ``c * M`` for a sufficiently large constant
   ``c`` (Section 1.1), so the gauge enforces ``current <= slack * M``
   rather than a hard ``M``.
+
+:class:`PhaseTracker` is a device's one stack of open regions (the
+spans ``device.span(name, kind)`` opens; a phase is a span of kind
+``"phase"``).  It computes each region's exclusive I/O once, at exit,
+for the phase report, the profiler and the tracer alike.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class IOStats:
     While :meth:`suspend` is active the device charges nothing — used
     for free input materialization, where rewinding the counters
     afterwards (the old implementation) would corrupt the exclusive
-    attribution of any open :class:`PhaseTracker` phase.
+    attribution of any open region.
     """
 
     reads: int = 0
@@ -164,56 +169,91 @@ class IOStats:
         return f"IOStats(reads={self.reads}, writes={self.writes}, total={self.total})"
 
 
+@dataclass(eq=False, slots=True)
+class Region:
+    """One open ``device.span`` region: its I/O total at entry, the I/O
+    its nested phases and recorded spans claimed, and the profiler's
+    node for it (None when unrecorded)."""
+
+    name: str
+    kind: str
+    attrs: dict[str, Any]
+    start: int
+    nested_phase_io: int = 0
+    nested_span_io: int = 0
+    node: Any = None
+
+    def set(self, key: str, value: Any) -> None:
+        """Attach one key/value annotation to this region."""
+        self.attrs[key] = value
+
+
 class PhaseTracker:
-    """Attributes I/O to named phases ("sort", "semijoin", …).
+    """A device's stack of open regions and its per-phase I/O totals.
 
-    Phases nest; each phase's total counts only the I/O not claimed by
-    an inner phase (exclusive attribution), so the per-phase totals plus
-    the unattributed remainder always sum to the device total.  Library
-    code tags its heavyweight operations; callers may add their own
-    phases around application logic::
+    ``Device.span`` opens every region; one of kind ``"phase"`` is a
+    phase, whose I/O not claimed by a nested phase goes to ``totals``::
 
-        with device.phases.phase("partition"):
+        with device.span("partition", kind="phase"):
             ...
 
-    ``totals`` maps label → I/Os; :meth:`report` adds the remainder.
+    ``totals`` plus the unattributed remainder :meth:`report` adds
+    always sum to the device total.
     """
 
     def __init__(self, stats: IOStats) -> None:
         self._stats = stats
         self.totals: dict[str, int] = {}
-        self._stack: list[list[int]] = []
+        self._stack: list[Region] = []
         # I/O total when the tracker was last reset: the remainder in
         # report() is measured from here, so a long-lived device (a
         # server session) can zero its phase view per query without
         # rewinding the monotone counters.
         self._origin: int = 0
-        # Set by Device.attach_tracer; observes enter/exit, never counts.
-        self._tracer: Any = None
-        # Set by Device.attach_profiler; every phase opens a span.
-        self._profiler: Any = None
 
-    @contextlib.contextmanager
-    def phase(self, label: str) -> Iterator[None]:
-        entry = [self._stats.total, 0]     # [start, child I/O]
-        self._stack.append(entry)
-        if self._tracer is not None:
-            self._tracer.on_phase_enter(label)
-        span = (self._profiler.open(label, kind="phase")
-                if self._profiler is not None else None)
-        try:
-            yield
-        finally:
-            if span is not None:
-                self._profiler.close(span)
-            self._stack.pop()
-            delta = self._stats.total - entry[0]
-            exclusive = delta - entry[1]
-            self.totals[label] = self.totals.get(label, 0) + exclusive
-            if self._stack:
-                self._stack[-1][1] += delta
-            if self._tracer is not None:
-                self._tracer.on_phase_exit(label, exclusive)
+    @property
+    def innermost(self) -> Region | None:
+        """The innermost open region, or None outside every region."""
+        return self._stack[-1] if self._stack else None
+
+    def labels(self) -> tuple[str, ...]:
+        """The open phase labels, outermost first."""
+        return tuple(r.name for r in self._stack if r.kind == "phase")
+
+    def open(self, name: str, kind: str, attrs: dict[str, Any]) -> Region:
+        """Push a region starting at the current I/O total."""
+        region = Region(name, kind, attrs, self._stats.total)
+        self._stack.append(region)
+        return region
+
+    def close(self, region: Region) -> tuple[int, int]:
+        """Pop the innermost ``region``; return its I/O exclusive of
+        nested phases and of nested recorded spans.
+
+        A region that is not a phase (not recorded) hands its nested
+        phases' (recorded spans') claim on to its parent.
+        """
+        stack = self._stack
+        if not stack or stack[-1] is not region:
+            innermost = stack[-1].name if stack else None
+            raise RuntimeError(
+                f"region {region.name!r} is not the innermost open "
+                f"region (innermost is {innermost!r})")
+        stack.pop()
+        io = self._stats.total - region.start
+        phase_exclusive = io - region.nested_phase_io
+        span_exclusive = io - region.nested_span_io
+        is_phase = region.kind == "phase"
+        if is_phase:
+            self.totals[region.name] = (self.totals.get(region.name, 0)
+                                        + phase_exclusive)
+        if stack:
+            parent = stack[-1]
+            parent.nested_phase_io += (io if is_phase
+                                       else region.nested_phase_io)
+            parent.nested_span_io += (io if region.node is not None
+                                      else region.nested_span_io)
+        return phase_exclusive, span_exclusive
 
     def report(self) -> dict[str, int]:
         """Per-phase I/O plus the unattributed remainder."""
@@ -222,9 +262,17 @@ class PhaseTracker:
                                  - sum(self.totals.values()))
         return out
 
+    def check_closed(self) -> None:
+        """Refuse a reset under an open region, naming it."""
+        if self._stack:
+            raise RuntimeError(
+                f"cannot reset with {len(self._stack)} region(s) open "
+                f"(innermost {self._stack[-1].name!r})")
+
     def reset(self) -> None:
+        """Zero the totals (never while a region is open)."""
+        self.check_closed()
         self.totals.clear()
-        self._stack.clear()
         self._origin = self._stats.total
 
 

@@ -23,10 +23,10 @@ EM003    layering: ``em`` ↛ ``core``/``query``, ``core`` ↛
          ``internal``, ``obs`` ↛ ``core``
 EM004    no wall-clock or randomness in counted paths (``core/``,
          ``em/``)
-EM005    ``suspend()`` / ``span()`` / ``phase()`` must be ``with``
-         statements, never discarded bare calls
-EM006    ``core/`` modules passing phase-name literals must declare
-         them in a module-level ``PHASES`` tuple
+EM005    ``suspend()`` / ``span()`` must be ``with`` statements,
+         never discarded bare calls
+EM006    ``core/`` modules opening ``span("<name>", kind="phase")``
+         must declare the names in a module-level ``PHASES`` tuple
 EM007    no *transitive* raw OS I/O through any call chain
          (interprocedural EM001)
 EM008    no ``peek_tuples()`` reachable from ``core/`` algorithm

@@ -100,21 +100,23 @@ _register(Rule(
 _register(Rule(
     code="EM005",
     name="bare-context-call",
-    summary="suspend()/span()/phase() called as a bare statement "
-            "instead of a with statement",
+    summary="suspend()/span() called as a bare statement instead "
+            "of a with statement",
     layers=(),
     rationale="These return context managers whose __exit__ "
-              "reconciles counter state (resume counting, close the "
-              "span, attribute the phase).  A discarded bare call "
-              "leaks that state: counting stays on, spans never "
-              "close, phase I/O is attributed to the wrong label.",
+              "reconciles counter state (resume counting, pop the "
+              "region off the device stack, attribute the phase).  "
+              "A discarded bare call leaks that state: counting "
+              "stays on, regions never close, phase I/O is "
+              "attributed to the wrong label.",
 ))
 
 _register(Rule(
     code="EM006",
     name="undeclared-phase",
-    summary="core/ module passes a phase-name literal not declared "
-            "in its module-level PHASES tuple",
+    summary="core/ module opens a span(<name>, kind=\"phase\") "
+            "whose name is not declared in its module-level PHASES "
+            "tuple",
     layers=("core",),
     rationale="Phase names are the join key between the per-phase "
               "I/O report and the pinned baseline.  Declaring them "

@@ -23,7 +23,7 @@ SCAN_ATTRS = frozenset({"scan", "reader"})
 
 #: Attribute names returning context managers that reconcile counter
 #: state on exit (EM005).
-CONTEXT_ATTRS = frozenset({"suspend", "span", "phase"})
+CONTEXT_ATTRS = frozenset({"suspend", "span"})
 
 #: Modules whose import into a counted path breaks determinism (EM004).
 NONDETERMINISTIC_MODULES = frozenset({"time", "random", "datetime"})
@@ -213,7 +213,7 @@ def em006_cross_check(
         decl_loc: tuple[int, int],
         literals: list[tuple[str, int, int]],
 ) -> list[tuple[str, str, int, int]]:
-    """EM006: literals passed to ``.phase()`` vs the PHASES declaration.
+    """EM006: ``.span(<name>, kind="phase")`` names vs PHASES.
 
     Returns ``(code, message, line, col)`` tuples; both directions are
     checked — undeclared literals and stale declared-but-unused names.
@@ -240,6 +240,6 @@ def em006_cross_check(
             if name not in used:
                 out.append(("EM006",
                             f"PHASES declares {name!r} but no "
-                            ".phase() call in this module uses it "
+                            "phase span in this module uses it "
                             "(stale declaration)", line, col))
     return out

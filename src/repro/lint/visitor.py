@@ -241,13 +241,19 @@ class _Checker(ast.NodeVisitor):
             rules.em002_call(node, self.layer, in_hold), node)
         self._add_finding(
             rules.em001_call(node, self.layer, self.pkg_relfile), node)
-        # EM006: collect phase-name literals for the finish() pass.
+        # EM006: collect the names of ``….span("<name>",
+        # kind="phase")`` calls (kind by keyword or position) for the
+        # finish() pass.
         if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "phase" and node.args
+                and node.func.attr == "span" and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)):
-            self._phase_literals.append(
-                (node.args[0].value, node.lineno, node.col_offset))
+            kinds = node.args[1:2] + [kw.value for kw in node.keywords
+                                      if kw.arg == "kind"]
+            if any(isinstance(k, ast.Constant) and k.value == "phase"
+                   for k in kinds):
+                self._phase_literals.append(
+                    (node.args[0].value, node.lineno, node.col_offset))
         self.generic_visit(node)
 
     def _comprehension(self, node: ast.ListComp | ast.SetComp

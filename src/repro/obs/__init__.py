@@ -23,7 +23,10 @@ Attach a tracer with ``Device(M, B, tracer=Tracer())`` or
 ``device.attach_tracer(t)``; the same goes for ``profiler=`` and
 ``metrics=``.  With nothing attached (the default) every counter stays
 byte-identical to the bare accounting — observers watch charges, they
-never make them.
+never make them.  The tracer and the profiler keep no stack of open
+regions: both read the device's one
+(:class:`~repro.em.stats.PhaseTracker`, where a phase is a span of
+kind ``"phase"``).
 """
 
 from repro.obs.baseline import (compare_baselines, load_baseline,
@@ -37,15 +40,15 @@ from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_METRICS, Counter,
                                Gauge, Histogram, MetricsRegistry,
                                NullMetrics)
 from repro.obs.rollup import IOBreakdown, Rollups, UNATTRIBUTED
-from repro.obs.spans import (NULL_SPAN, SPAN_KINDS, ProfiledEmitter,
-                             Span, SpanProfiler)
+from repro.obs.spans import (SPAN_KINDS, ProfiledEmitter, Span,
+                             SpanProfiler)
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "TraceEvent", "EVENT_KINDS", "IO_KINDS", "CACHE_KINDS",
     "Tracer", "Rollups", "IOBreakdown", "UNATTRIBUTED",
     "write_baseline", "load_baseline", "compare_baselines",
-    "Span", "SpanProfiler", "ProfiledEmitter", "NULL_SPAN", "SPAN_KINDS",
+    "Span", "SpanProfiler", "ProfiledEmitter", "SPAN_KINDS",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetrics",
     "NULL_METRICS", "DEFAULT_BUCKETS",
     "to_chrome_trace", "write_chrome_trace", "to_prometheus",

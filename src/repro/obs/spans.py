@@ -2,70 +2,54 @@
 
 A :class:`SpanProfiler` attached to a
 :class:`~repro.em.device.Device` records a tree of **spans**
-(algorithm → phase → operator).  Each span snapshots the device's
+(algorithm → phase → operator).  The device owns the one stack of
+open regions (:class:`~repro.em.stats.PhaseTracker`): every
+``device.span(name, kind)`` pushes a region on it, profiled or not,
+and a phase is just a region of kind ``"phase"``.  The profiler only
+observes that stack: as the device opens and closes a region, it
+records a :class:`Span` node with snapshots of the device's
 :class:`~repro.em.stats.IOStats` (reads, writes, and the cache
 counters), the :class:`~repro.em.stats.MemoryGauge` peak, the wall
-clock, and the profiler's tuples-produced counter at entry and exit,
-so its *deltas* say exactly what that region of the run cost.  Like
-the tracer, the profiler is strictly read-only: it observes counters,
-it never charges them, so profiled and unprofiled runs have
-byte-identical I/O statistics.
+clock, and the profiler's tuples-produced counter, so its *deltas*
+say exactly what that region of the run cost.  Like the tracer, it is
+strictly read-only: profiled and unprofiled runs have byte-identical
+I/O statistics.
 
-Spans come from three places:
+:class:`ProfiledEmitter` wraps an emitter so emitted results tick the
+profiler's tuple counter, giving every span its tuples-produced delta.
 
-* algorithms and operators call ``device.span(name, kind)`` — a
-  context manager that is a shared no-op (:data:`NULL_SPAN`) when no
-  profiler is attached, so instrumented code costs nearly nothing
-  when profiling is off;
-* every :class:`~repro.em.stats.PhaseTracker` phase opens a
-  ``kind="phase"`` span automatically, which is what nests operator
-  spans under the algorithm phases they run in;
-* :class:`ProfiledEmitter` wraps an emitter so emitted results tick
-  the profiler's tuple counter, giving every span its tuples-produced
-  delta.
-
-Attribution mirrors :class:`~repro.em.stats.PhaseTracker`: a span's
-``io`` delta includes its children; ``exclusive_io`` subtracts them,
-so summing ``exclusive_io`` over the whole tree plus the profiler's
+A span's ``io`` delta includes its children; its ``exclusive_io`` is
+what the device stack computed at the region's exit: the I/O not
+claimed by a nested recorded span.  A span dropped at capacity claims
+nothing, so its I/O stays with its nearest recorded ancestor, and
+summing ``exclusive_io`` over the whole tree plus the profiler's
 unattributed remainder reconstructs ``stats.total`` exactly
 (``tests/test_spans.py`` pins this).
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 
 class Span:
-    """One profiled region with entry/exit snapshots."""
+    """One recorded region with entry/exit snapshots."""
 
-    __slots__ = ("name", "kind", "attrs", "children", "depth", "dropped",
+    __slots__ = ("name", "kind", "attrs", "children", "exclusive_io",
                  "t0", "t1", "reads0", "writes0", "reads1", "writes1",
                  "cache0", "cache1", "mem_peak0", "mem_peak1",
-                 "tuples0", "tuples1", "_profiler")
+                 "tuples0", "tuples1")
 
-    def __init__(self, profiler: "SpanProfiler", name: str, kind: str,
-                 attrs: dict | None, depth: int) -> None:
+    def __init__(self, name: str, kind: str, attrs: dict) -> None:
         self.name = name
         self.kind = kind
-        self.attrs = dict(attrs) if attrs else {}
+        # Shared with the device's region, so annotations made while
+        # the region is open land here too.
+        self.attrs = attrs
         self.children: list[Span] = []
-        self.depth = depth
-        self.dropped = False
+        self.exclusive_io = 0
         self.t1 = None
-        self._profiler = profiler
-
-    # -- in-flight annotation (also provided by NULL_SPAN) -------------
-
-    def set(self, key: str, value: Any) -> None:
-        """Attach one key/value annotation to this span."""
-        self.attrs[key] = value
-
-    def add_tuples(self, n: int = 1) -> None:
-        """Report ``n`` results produced inside this span."""
-        self._profiler.add_tuples(n)
 
     # -- derived deltas (valid after close) ----------------------------
 
@@ -89,11 +73,6 @@ class Span:
     def io(self) -> int:
         """Block transfers inside this span, children included."""
         return self.reads + self.writes
-
-    @property
-    def exclusive_io(self) -> int:
-        """This span's I/O not claimed by a recorded child span."""
-        return self.io - sum(c.io for c in self.children)
 
     @property
     def tuples(self) -> int:
@@ -126,28 +105,6 @@ class Span:
         return f"Span({self.name!r}, kind={self.kind!r}, {state})"
 
 
-class _NullSpan:
-    """The shared span handed out when no profiler is attached."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, key: str, value: Any) -> None:
-        pass
-
-    def add_tuples(self, n: int = 1) -> None:
-        pass
-
-
-#: Reusable, re-entrant no-op span (``device.span`` returns it when
-#: profiling is off).
-NULL_SPAN = _NullSpan()
-
 #: Span kinds, outermost first — purely descriptive, not enforced.
 SPAN_KINDS = ("algorithm", "phase", "operator")
 
@@ -156,9 +113,9 @@ class SpanProfiler:
     """The opt-in span sink a device snapshots its counters into.
 
     ``capacity`` bounds the number of *recorded* spans: once reached,
-    further spans still open and close (keeping nesting well-formed and
-    the counters untouched) but are not stored; ``dropped`` counts
-    them, so a truncated profile is never mistaken for a complete one.
+    further regions still open and close on the device stack but are
+    not recorded; ``dropped`` counts them, so a truncated profile is
+    never mistaken for a complete one.
     """
 
     def __init__(self, capacity: int = 65536,
@@ -169,7 +126,6 @@ class SpanProfiler:
         self._clock = clock
         self._device = None
         self.roots: list[Span] = []
-        self._stack: list[Span] = []
         self.tuples_produced = 0
         self.span_count = 0
         self.dropped = 0
@@ -186,63 +142,36 @@ class SpanProfiler:
     def add_tuples(self, n: int = 1) -> None:
         self.tuples_produced += n
 
-    # -- span lifecycle ------------------------------------------------
+    # -- observing the device stack (called by Device.span) ------------
 
-    def open(self, name: str, kind: str = "operator",
-             attrs: dict | None = None) -> Span:
-        """Open a span nested under the innermost open one."""
-        device = self._device
-        if device is None:
-            raise RuntimeError(
-                "SpanProfiler is not attached to a device; pass it to "
-                "Device(profiler=...) or call device.attach_profiler")
-        parent = self._stack[-1] if self._stack else None
-        span = Span(self, name, kind, attrs, depth=len(self._stack))
-        stats = device.stats
-        span.reads0 = stats.reads
-        span.writes0 = stats.writes
-        span.cache0 = _cache_dict(stats.cache)
-        span.mem_peak0 = device.memory.peak
-        span.tuples0 = self.tuples_produced
-        span.t0 = self._clock()
-        if (self.span_count >= self.capacity
-                or (parent is not None and parent.dropped)):
-            span.dropped = True
+    def on_open(self, region, parent: Span | None) -> Span | None:
+        """Record a node for ``region`` under ``parent``'s node.
+
+        Returns None once ``capacity`` spans are recorded.  The count
+        never falls while regions are open, so every region nested in
+        a dropped one is dropped too.
+        """
+        if self.span_count >= self.capacity:
             self.dropped += 1
-        else:
-            self.span_count += 1
-            if parent is None:
-                self.roots.append(span)
-            else:
-                parent.children.append(span)
-        self._stack.append(span)
+            return None
+        self.span_count += 1
+        span = Span(region.name, region.kind, region.attrs)
+        (span.reads0, span.writes0, span.cache0, span.mem_peak0,
+         span.tuples0, span.t0) = self._counters()
+        (self.roots if parent is None else parent.children).append(span)
         return span
 
-    def close(self, span: Span) -> None:
-        """Close ``span``; it must be the innermost open one."""
-        if not self._stack or self._stack[-1] is not span:
-            open_name = self._stack[-1].name if self._stack else None
-            raise RuntimeError(
-                f"span {span.name!r} is not the innermost open span "
-                f"(innermost is {open_name!r})")
-        self._stack.pop()
-        device = self._device
-        stats = device.stats
-        span.t1 = self._clock()
-        span.reads1 = stats.reads
-        span.writes1 = stats.writes
-        span.cache1 = _cache_dict(stats.cache)
-        span.mem_peak1 = device.memory.peak
-        span.tuples1 = self.tuples_produced
+    def on_close(self, span: Span, exclusive_io: int) -> None:
+        """Snapshot the exit counters of ``span``'s closed region."""
+        (span.reads1, span.writes1, span.cache1, span.mem_peak1,
+         span.tuples1, span.t1) = self._counters()
+        span.exclusive_io = exclusive_io
 
-    @contextlib.contextmanager
-    def span(self, name: str, kind: str = "operator", **attrs):
-        """Context-managed :meth:`open`/:meth:`close` pair."""
-        s = self.open(name, kind, attrs or None)
-        try:
-            yield s
-        finally:
-            self.close(s)
+    def _counters(self) -> tuple:
+        stats = self._device.stats
+        return (stats.reads, stats.writes, _cache_dict(stats.cache),
+                self._device.memory.peak, self.tuples_produced,
+                self._clock())
 
     # -- inspection ----------------------------------------------------
 
@@ -278,11 +207,12 @@ class SpanProfiler:
         }
 
     def reset(self) -> None:
-        """Drop all spans and zero the counters (keeps the knobs)."""
-        if self._stack:
-            raise RuntimeError(
-                f"cannot reset with {len(self._stack)} span(s) open "
-                f"(innermost {self._stack[-1].name!r})")
+        """Drop all spans and zero the counters (keeps the knobs).
+
+        Refuses while the attached device has a region open.
+        """
+        if self._device is not None:
+            self._device.phases.check_closed()
         self.roots.clear()
         self.tuples_produced = 0
         self.span_count = 0
@@ -291,7 +221,7 @@ class SpanProfiler:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SpanProfiler(spans={self.span_count}, "
-                f"dropped={self.dropped}, open={len(self._stack)})")
+                f"dropped={self.dropped})")
 
 
 def _cache_dict(cache) -> dict:

@@ -16,6 +16,10 @@ Storage knobs:
 * ``sample_every=k`` stores every k-th I/O, cache, and memory event
   (phase markers are always stored — there are few of them and the
   per-phase rollups are reconstructed from charges, not from them).
+
+The tracer keeps no stack of its own: the device hands each charge
+the open phase labels off its region stack, and each phase exit the
+exclusive I/O that stack computed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import collections
 import json
 
-from repro.obs.events import TraceEvent
+from repro.obs.events import IO_KINDS, TraceEvent
 from repro.obs.rollup import Rollups
 
 
@@ -45,39 +49,27 @@ class Tracer:
         self._seen = 0          # every event, stored or not
         self._stored = 0        # events that entered the buffer
         self._sampled_out = 0   # events skipped by the sampling knob
-        self._phase_stack: list[str] = []
 
     # -- device-facing hooks (called by Device / BufferPool / gauges) --
 
-    def on_read(self, file: str, page: int) -> None:
-        """One physical page read was charged."""
-        phase = self._phase_stack[-1] if self._phase_stack else None
-        self.rollups.record_io("read", file, tuple(self._phase_stack))
-        self._store(TraceEvent(self._seen, "read", file=file, page=page,
-                               phase=phase), sampled=True)
-
-    def on_write(self, file: str, page: int) -> None:
-        """One physical page write was charged."""
-        phase = self._phase_stack[-1] if self._phase_stack else None
-        self.rollups.record_io("write", file, tuple(self._phase_stack))
-        self._store(TraceEvent(self._seen, "write", file=file, page=page,
-                               phase=phase), sampled=True)
-
-    def on_cache(self, kind: str, file: str, page: int) -> None:
-        """A buffer-pool hit / miss / eviction / write-back."""
-        phase = self._phase_stack[-1] if self._phase_stack else None
-        self.rollups.record_cache(kind)
+    def on_charge(self, kind: str, file: str, page: int,
+                  phases: tuple[str, ...]) -> None:
+        """A physical page read / write, or a buffer-pool hit / miss /
+        eviction / write-back; ``phases`` is the device's open phase
+        labels, outermost first."""
+        if kind in IO_KINDS:
+            self.rollups.record_io(kind, file, phases)
+        else:
+            self.rollups.record_cache(kind)
         self._store(TraceEvent(self._seen, kind, file=file, page=page,
-                               phase=phase), sampled=True)
+                               phase=phases[-1] if phases else None),
+                    sampled=True)
 
     def on_phase_enter(self, label: str) -> None:
-        self._phase_stack.append(label)
         self._store(TraceEvent(self._seen, "phase_enter", phase=label),
                     sampled=False)
 
     def on_phase_exit(self, label: str, exclusive_io: int) -> None:
-        if self._phase_stack and self._phase_stack[-1] == label:
-            self._phase_stack.pop()
         self._store(TraceEvent(self._seen, "phase_exit", phase=label,
                                value=exclusive_io), sampled=False)
 
@@ -123,7 +115,6 @@ class Tracer:
         """Drop all events and zero the rollups (keeps the knobs)."""
         self._buffer.clear()
         self._seen = self._stored = self._sampled_out = 0
-        self._phase_stack.clear()
         self.rollups.reset()
 
     # -- internals -----------------------------------------------------

@@ -269,7 +269,7 @@ class Session:
         emitter = CollectingEmitter() if collect else CountingEmitter()
         report = execute(q, inst, emitter, reduce_first=reduce_first)
         if view is not None:
-            with device.phases.phase("pool-flush"):
+            with device.span("pool-flush", kind="phase"):
                 view.end_query()
         delta = device.stats.delta_since(before)
         cache = delta.cache.as_dict() if view is not None else None

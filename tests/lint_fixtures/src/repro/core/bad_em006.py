@@ -2,5 +2,5 @@
 
 
 def run(device):
-    with device.phases.phase("sort"):
+    with device.span("sort", kind="phase"):
         pass

@@ -6,7 +6,7 @@ PHASES = ("load",)
 
 def load(rel):
     device = rel.device
-    with device.phases.phase("load"):
+    with device.span("load", kind="phase"):
         with device.memory.hold(len(rel)):
             rows = list(rel.data.scan())
     return rows

@@ -139,18 +139,30 @@ class TestRuleSemantics:
     def test_em006_declared_and_used_is_compliant(self):
         src = ("PHASES = ('sort',)\n"
                "def f(d):\n"
-               "    with d.phases.phase('sort'):\n"
+               "    with d.span('sort', kind='phase'):\n"
                "        pass\n")
         assert check_source(src, "src/repro/core/x.py") == []
 
     def test_em006_stale_declaration_flagged(self):
         src = "PHASES = ('sort', 'merge')\n" \
               "def f(d):\n" \
-              "    with d.phases.phase('sort'):\n" \
+              "    with d.span('sort', kind='phase'):\n" \
               "        pass\n"
         (v,) = check_source(src, "src/repro/core/x.py")
         assert v.code == "EM006"
         assert "merge" in v.message
+
+    def test_em006_reads_only_phase_spans(self):
+        """Phase names come from ``span(<name>, kind="phase")``, kind
+        by keyword or position; other spans need no declaration."""
+        src = ("def f(d):\n"
+               "    with d.span('op'), d.span('merge', kind='operator'):\n"
+               "        pass\n")
+        assert check_source(src, "src/repro/core/x.py") == []
+        (v,) = check_source("def f(d):\n"
+                            "    with d.span('sort', 'phase'):\n"
+                            "        pass\n", "src/repro/core/x.py")
+        assert v.code == "EM006" and "'sort'" in v.message
 
     def test_em006_non_literal_phases_flagged(self):
         src = "PHASES = make_phases()\n"
@@ -381,7 +393,7 @@ _PHRASE = st.sampled_from([
     "{m}.suspend()\n",
     "with {m}.suspend():\n    pass\n",
     "PHASES = ('{n}',)\n",
-    "with {m}.phases.phase('{n}'):\n    pass\n",
+    "with {m}.span('{n}', kind='phase'):\n    pass\n",
     "class {n}:\n    def {m}(self):\n        return 0\n",
 ])
 _PATHS = st.sampled_from([

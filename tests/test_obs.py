@@ -1,16 +1,22 @@
 """Tests for the observability layer: tracer, rollups, baselines."""
 
 import json
+import pathlib
+import sys
 
 import pytest
 
 from repro import Device, Instance, Tracer, line_query
 from repro.core import CountingEmitter, line3_join
 from repro.em import PoolConfig
-from repro.obs import (IOBreakdown, UNATTRIBUTED, compare_baselines,
-                       load_baseline, write_baseline)
+from repro.obs import (UNATTRIBUTED, IOBreakdown, ProfiledEmitter,
+                       SpanProfiler, compare_baselines, load_baseline,
+                       write_baseline)
 from repro.obs.events import EVENT_KINDS, TraceEvent
 from repro.workloads import fig3_line3_instance
+
+BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
+TABLE1 = load_baseline(BENCH_DIR / "BENCH_table1.json")["classes"]
 
 
 def traced_line3(M=4, B=2, pool=None, **tracer_kwargs):
@@ -24,6 +30,35 @@ def traced_line3(M=4, B=2, pool=None, **tracer_kwargs):
     return device, tracer
 
 
+def bench_util():
+    """The ``benchmarks/_util.py`` module (not a package)."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import _util
+    finally:
+        sys.path.pop(0)
+    return _util
+
+
+def run_table1_class(name, leg, *, observed):
+    """One leg of a pinned Table-1 class as ``measure_class`` runs it,
+    with a tracer and a profiler attached when ``observed``; returns
+    (device, tracer, profiler, results)."""
+    util = bench_util()
+    query, schemas, data, M, B, runner = util.table1_baseline_cases()[name]
+    pool = util._baseline_pool(M, B) if leg == "pool_on" else None
+    tracer = Tracer() if observed else None
+    profiler = SpanProfiler() if observed else None
+    device = Device(M=M, B=B, buffer_pool=pool, tracer=tracer,
+                    profiler=profiler)
+    instance = Instance.from_dicts(device, schemas, data)
+    emitter = CountingEmitter()
+    runner(query, instance,
+           ProfiledEmitter(emitter, profiler) if observed else emitter)
+    device.flush_pool()
+    return device, tracer, profiler, emitter.count
+
+
 class TestTracer:
     def test_rollups_sum_to_device_total(self):
         device, tracer = traced_line3()
@@ -35,11 +70,28 @@ class TestTracer:
         per_file = sum(v["total"] for v in s["per_file"].values())
         assert per_file == device.stats.total
 
-    def test_per_phase_matches_phase_tracker(self):
-        device, tracer = traced_line3()
-        s = tracer.summary()
-        got = {k: v["total"] for k, v in s["per_phase"].items()}
-        assert got == device.phases.report()
+    @pytest.mark.parametrize("leg", ["pool_off", "pool_on"])
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_per_phase_matches_phase_tracker(self, name, leg):
+        """Tracer rollups, phase report and profiler all read the one
+        device stack: they agree with each other, with the pinned
+        phases, and with an unobserved run."""
+        device, tracer, profiler, results = run_table1_class(
+            name, leg, observed=True)
+        bare, _, _, bare_results = run_table1_class(name, leg,
+                                                    observed=False)
+        report = device.phases.report()
+        per_phase = {k: v["total"]
+                     for k, v in tracer.summary()["per_phase"].items()}
+        assert per_phase == report
+        assert report == TABLE1[name][leg]["phases"]
+        assert (device.stats.reads, device.stats.writes, results) == (
+            bare.stats.reads, bare.stats.writes, bare_results)
+        assert device.stats.cache == bare.stats.cache
+        assert report == bare.phases.report()
+        s = profiler.summary()
+        exclusive = sum(sp.exclusive_io for sp in profiler.iter_spans())
+        assert exclusive + s["unattributed_io"] == device.stats.total
 
     def test_memory_peak_matches_gauge(self):
         device, tracer = traced_line3()
@@ -243,15 +295,6 @@ class TestBaseline:
     def test_committed_table1_baseline_matches_fresh_run(self):
         """The committed BENCH_table1.json must reproduce exactly —
         the same check CI runs, minus the subprocess."""
-        import pathlib
-        import sys
-
-        bench_dir = pathlib.Path(__file__).parent.parent / "benchmarks"
-        sys.path.insert(0, str(bench_dir))
-        try:
-            from _util import table1_baseline
-        finally:
-            sys.path.pop(0)
-        committed = load_baseline(bench_dir / "BENCH_table1.json")
-        fresh = {"classes": table1_baseline()}
+        committed = load_baseline(BENCH_DIR / "BENCH_table1.json")
+        fresh = {"classes": bench_util().table1_baseline()}
         assert compare_baselines(committed, fresh) == []

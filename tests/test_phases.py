@@ -1,24 +1,26 @@
 """Tests for per-phase I/O attribution."""
 
+import pytest
+
 from repro import Device, Instance
 from repro.core import CountingEmitter, acyclic_join
 from repro.core.triangle import triangle_join
-from repro.em import PhaseTracker
+from repro.obs import SpanProfiler
 from repro.query import line_query, triangle_query
 
 
 class TestPhaseTracker:
     def test_exclusive_attribution_when_nested(self, small_device):
         tracker = small_device.phases
-        with tracker.phase("outer"):
+        with small_device.span("outer", kind="phase"):
             small_device.file_from_tuples([(i,) for i in range(8)])  # 2 w
-            with tracker.phase("inner"):
+            with small_device.span("inner", kind="phase"):
                 small_device.file_from_tuples([(i,) for i in range(16)])
         assert tracker.totals["inner"] == 4
         assert tracker.totals["outer"] == 2
 
     def test_report_includes_remainder(self, small_device):
-        with small_device.phases.phase("a"):
+        with small_device.span("a", kind="phase"):
             small_device.file_from_tuples([(1,)])
         small_device.file_from_tuples([(2,)])
         rep = small_device.phases.report()
@@ -28,12 +30,36 @@ class TestPhaseTracker:
 
     def test_repeated_phases_accumulate(self, small_device):
         for _ in range(3):
-            with small_device.phases.phase("w"):
+            with small_device.span("w", kind="phase"):
                 small_device.file_from_tuples([(1,)])
         assert small_device.phases.totals["w"] == 3
 
+    def test_phase_nested_through_a_span_is_exclusive(self, small_device):
+        """A non-phase span between two phases passes the inner
+        phase's claim on to the outer one."""
+        with small_device.span("outer", kind="phase"):
+            small_device.file_from_tuples([(i,) for i in range(8)])  # 2 w
+            with small_device.span("op"):
+                small_device.file_from_tuples([(1,)])  # 1 w, to outer
+                with small_device.span("inner", kind="phase"):
+                    small_device.file_from_tuples([(1,)])
+        assert small_device.phases.totals == {"outer": 3, "inner": 1}
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_reset_stats_under_open_phase_raises_first(self, profiled):
+        """Resetting inside an open phase used to zero every counter
+        and then fail with ``IndexError`` when the phase exited."""
+        device = Device(M=16, B=4,
+                        profiler=SpanProfiler() if profiled else None)
+        with device.span("x", kind="phase"):
+            device.file_from_tuples([(1,)])
+            with pytest.raises(RuntimeError, match="'x'"):
+                device.reset_stats()
+            assert device.stats.total == 1  # nothing was zeroed
+        assert device.phases.report() == {"x": 1, "(unattributed)": 0}
+
     def test_reset(self, small_device):
-        with small_device.phases.phase("x"):
+        with small_device.span("x", kind="phase"):
             small_device.file_from_tuples([(1,)])
         small_device.reset_stats()
         assert small_device.phases.totals == {}
@@ -51,7 +77,7 @@ class TestFreeMaterializationAttribution:
 
     def test_free_materialization_inside_phase_is_invisible(self,
                                                             small_device):
-        with small_device.phases.phase("setup"):
+        with small_device.span("setup", kind="phase"):
             small_device.file_from_tuples_free([(i,) for i in range(20)])
         assert small_device.phases.totals["setup"] == 0
         assert small_device.stats.total == 0
@@ -62,11 +88,11 @@ class TestFreeMaterializationAttribution:
         def gen():
             # Charged I/O attributed to an inner phase *during* the
             # free materialization — the case the rewind corrupted.
-            with device.phases.phase("inner"):
+            with device.span("inner", kind="phase"):
                 device.file_from_tuples([(i,) for i in range(8)])
             yield (0,)
 
-        with device.phases.phase("outer"):
+        with device.span("outer", kind="phase"):
             device.file_from_tuples_free(gen())
         report = device.phases.report()
         assert all(v >= 0 for v in report.values()), report

@@ -11,8 +11,8 @@ from repro.analysis import FIT_CLASSES, fit_class, fit_loglog
 from repro.analysis.fitting import BoundTerm, FitPoint, FitResult
 from repro.core import CountingEmitter, line3_join
 from repro.obs import (DEFAULT_BUCKETS, Histogram, MetricsRegistry,
-                       NULL_METRICS, NULL_SPAN, ProfiledEmitter,
-                       SpanProfiler, to_chrome_trace, to_prometheus)
+                       NULL_METRICS, ProfiledEmitter, SpanProfiler,
+                       to_chrome_trace, to_prometheus)
 from repro.workloads import fig3_line3_instance
 
 
@@ -37,21 +37,26 @@ class TestProfilerTransparency:
         assert device.stats.writes == 146
         assert emitter.count == 1024
 
-    def test_null_span_is_reentrant_noop(self):
+    def test_unprofiled_span_is_reentrant_noop(self):
+        """Without a profiler a span still opens a region on the
+        device stack, and charges nothing."""
         device = Device(M=16, B=4)
-        assert device.span("anything") is NULL_SPAN
-        with device.span("outer") as a, device.span("inner") as b:
+        with device.span("outer") as a, device.span("outer") as b:
             a.set("k", 1)
-            b.add_tuples(3)
-        assert device.profiler is None
+            assert device.phases.innermost is b
+        assert a.attrs == {"k": 1}
+        assert device.phases.innermost is None
+        assert device.stats.total == 0 and device.profiler is None
 
     def test_detach_restores_null_behavior(self):
         profiler = SpanProfiler()
         device = Device(M=16, B=4, profiler=profiler)
-        assert device.span("x") is not NULL_SPAN and device.profiler
+        with device.span("x") as region:
+            assert region.node is not None
         device.detach_profiler()
-        assert device.span("x") is NULL_SPAN
-        assert device.phases._profiler is None
+        with device.span("y") as region:
+            assert region.node is None
+        assert [s.name for s in profiler.iter_spans()] == ["x"]
 
 
 class TestSpanTree:
@@ -106,17 +111,31 @@ class TestSpanTree:
         assert s["dropped"] == 2
         assert [sp.name for sp in profiler.iter_spans()] == ["a", "b"]
 
+    def test_dropped_span_io_stays_with_recorded_ancestor(self):
+        profiler = SpanProfiler(capacity=2)
+        device = Device(M=16, B=4, profiler=profiler)
+        with device.span("a"):
+            device.file_from_tuples([(1,)])  # 1 write
+            with device.span("b"):
+                device.file_from_tuples([(i,) for i in range(8)])  # 2
+                with device.span("c"):  # dropped: its I/O stays in b
+                    device.file_from_tuples([(i,) for i in range(12)])
+                    with device.span("d"):  # dropped as well
+                        device.file_from_tuples([(1,)])
+        a, b = profiler.iter_spans()
+        assert (a.io, a.exclusive_io) == (7, 1)
+        assert (b.io, b.exclusive_io) == (6, 6)
+        exclusive = sum(sp.exclusive_io for sp in profiler.iter_spans())
+        assert exclusive == profiler.summary()["attributed_io"] == 7
+
     def test_close_out_of_order_raises(self):
         profiler = SpanProfiler()
         device = Device(M=16, B=4, profiler=profiler)
-        a = profiler.open("a")
-        profiler.open("b")
+        a, b = device.span("a"), device.span("b")
+        a.__enter__()
+        b.__enter__()
         with pytest.raises(RuntimeError, match="innermost"):
-            profiler.close(a)
-
-    def test_unattached_open_raises(self):
-        with pytest.raises(RuntimeError, match="not attached"):
-            SpanProfiler().open("x")
+            a.__exit__(None, None, None)
 
     def test_reset_stats_resets_profiler(self):
         device, profiler, _ = profiled_line3()
@@ -127,9 +146,9 @@ class TestSpanTree:
     def test_reset_with_open_span_raises(self):
         profiler = SpanProfiler()
         device = Device(M=16, B=4, profiler=profiler)
-        profiler.open("still-open")
-        with pytest.raises(RuntimeError, match="open"):
-            profiler.reset()
+        with device.span("still-open"):
+            with pytest.raises(RuntimeError, match="open"):
+                profiler.reset()
 
     def test_validates_capacity(self):
         with pytest.raises(ValueError):
