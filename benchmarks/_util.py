@@ -9,12 +9,14 @@ crossover sits — is the reproduction target (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Mapping, Sequence
 
 from repro import Device, Instance
 from repro.core import CountingEmitter
 from repro.em import PoolConfig
 from repro.obs import Tracer
+from repro.obs.events import CACHE_KINDS, IO_KINDS
 
 
 def run_em(query, schemas, data, runner: Callable, M: int, B: int,
@@ -160,14 +162,46 @@ def table1_baseline_cases() -> dict:
     return cases
 
 
+#: Ring capacity of the tracer whose stream a baseline leg digests:
+#: far above any pinned workload's event count, and checked anyway.
+DIGEST_TRACE_CAPACITY = 1 << 20
+
+
+def page_stream_digest(tracer: Tracer) -> str:
+    """SHA-256 of the ``(kind, file, page)`` stream of every page event
+    ``tracer`` saw — read, write, hit, miss, eviction, write-back — in
+    order.
+
+    It pins which pages a run touches and in what order, not only how
+    many: with a buffer pool the order decides every hit and eviction.
+    A digest of a partial stream pins nothing, so a tracer that dropped
+    or sampled out any event is refused.
+    """
+    events = tracer.events()
+    if tracer.seen != len(events):
+        raise ValueError(
+            f"lossy trace: {len(events)} of {tracer.seen} events kept; "
+            f"digest a Tracer with sample_every=1 and room for them all")
+    h = hashlib.sha256()
+    for e in events:
+        if e.kind in IO_KINDS or e.kind in CACHE_KINDS:
+            h.update(f"{e.kind} {e.file} {e.page}\n".encode())
+    return h.hexdigest()
+
+
 def measure_class(query, schemas, data, runner: Callable, M: int, B: int,
                   *, pool: PoolConfig | None = None,
                   tracer: Tracer | None = None) -> dict:
-    """One full baseline measurement: I/O, phases, memory, cache.
+    """One full baseline measurement: I/O, phases, memory, cache, and
+    the digest of the page-access stream.
 
     Like :func:`run_em` but returns the whole counter tree the baseline
-    pins (per-phase breakdown and peak memory included).
+    pins (per-phase breakdown and peak memory included).  ``tracer``
+    must be lossless; without one a fresh full-capacity tracer records
+    the stream.
     """
+    if tracer is None:
+        tracer = Tracer(capacity=DIGEST_TRACE_CAPACITY)
     device = Device(M=M, B=B, buffer_pool=pool, tracer=tracer)
     instance = Instance.from_dicts(device, schemas, data)
     emitter = CountingEmitter()
@@ -178,7 +212,8 @@ def measure_class(query, schemas, data, runner: Callable, M: int, B: int,
                   "total": device.stats.total},
            "results": emitter.count,
            "phases": device.phases.report(),
-           "peak_mem": device.memory.peak}
+           "peak_mem": device.memory.peak,
+           "page_digest": page_stream_digest(tracer)}
     if pool is not None:
         out["cache"] = device.stats.cache.as_dict()
     return out
@@ -187,24 +222,21 @@ def measure_class(query, schemas, data, runner: Callable, M: int, B: int,
 def table1_baseline(tracer_summaries: dict | None = None) -> dict:
     """Measure every baseline class pool-off and pool-on.
 
-    When ``tracer_summaries`` is a dict, each class's pool-off leg runs
-    with a :class:`~repro.obs.Tracer` attached and its exact rollup
-    summary is stored under the class name (the CI artifact) — the
-    counters are identical either way, which the tracer-transparency
-    test pins.
+    When ``tracer_summaries`` is a dict, the exact rollup summary of
+    each class's pool-off tracer is stored under the class name (the CI
+    artifact) — the counters are identical with or without a tracer,
+    which the tracer-transparency test pins.
     """
     out: dict = {}
     for name, (query, schemas, data, M, B, runner) in sorted(
             table1_baseline_cases().items()):
-        tracer = None
-        if tracer_summaries is not None:
-            tracer = Tracer(capacity=1024, sample_every=64)
+        tracer = Tracer(capacity=DIGEST_TRACE_CAPACITY)
         pool_off = measure_class(query, schemas, data, runner, M, B,
                                  tracer=tracer)
         pool_on = measure_class(query, schemas, data, runner, M, B,
                                 pool=_baseline_pool(M, B))
         out[name] = {"machine": {"M": M, "B": B},
                      "pool_off": pool_off, "pool_on": pool_on}
-        if tracer is not None:
+        if tracer_summaries is not None:
             tracer_summaries[name] = tracer.summary()
     return out

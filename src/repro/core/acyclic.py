@@ -64,7 +64,8 @@ from repro.data.relation import Relation
 from repro.em.device import Device
 from repro.em.loaders import (group_boundaries, load_chunks,
                               load_group_chunks, load_light_chunks,
-                              split_heavy_light)
+                              merge_matching, split_heavy_light,
+                              take_matching)
 from repro.query.classify import (find_buds, find_islands, find_leaves,
                                   leaf_info)
 from repro.query.hypergraph import JoinQuery, require_berge_acyclic
@@ -309,26 +310,10 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
     One merge pass over both inputs; the (smaller) output is written
     back to disk, preserving sort order on ``attr``.
     """
-    key_l = rel.key(attr)
-    key_r = filter_rel.key(attr)
-    left = rel.data.reader()
-    right = filter_rel.data.reader()
-
-    def matches():
-        # em-loop-bound: N -- one left tuple per iteration
-        while not left.exhausted:
-            t = left.next()
-            kv = key_l(t)
-            # em-loop-bound: 1 -- the right cursor advances
-            # monotonically, so its fetches across the whole pass
-            # total one scan, counted in whole-pass units
-            while not right.exhausted and key_r(right.peek()) < kv:
-                right.next()
-            if not right.exhausted and key_r(right.peek()) == kv:
-                yield t
-
+    matches = merge_matching(rel.data.reader(), filter_rel.data.reader(),
+                             rel.key(attr), filter_rel.key(attr))
     with rel.device.span("semijoin", kind="phase"):
-        return rel.rewrite(matches(), label=f"sj_{filter_rel.name}",
+        return rel.rewrite(matches, label=f"sj_{filter_rel.name}",
                            sorted_on=attr)
 
 
@@ -480,13 +465,7 @@ def _peel_leaf_light(query, inst, emit, pick, memo, leaf, info, rel_e,
         # em-loop-bound: 1 -- one filter per neighbor, and the
         # neighbor count is a query-size constant
         for e2, rel2 in neighbors.items():
-            idx = nb_vidx[e2]
-            rd = cursors[e2]
-            matched: list[tuple] = []
-            while not rd.exhausted and rd.peek()[idx] <= vmax:
-                t = rd.next()
-                if t[idx] in values:
-                    matched.append(t)
+            matched = take_matching(cursors[e2], nb_vidx[e2], vmax, values)
             rebound[e2] = rel2.rewrite(matched, label=f"sj_{leaf}",
                                        sorted_on=v)
             if not matched:

@@ -25,7 +25,8 @@ from repro.core.twoway import sort_merge_join
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.em.loaders import (group_boundaries, load_chunks,
-                              load_light_chunks, split_heavy_light)
+                              load_light_chunks, split_heavy_light,
+                              take_matching)
 from repro.query.hypergraph import JoinQuery
 from repro.query.shapes import detect_line
 
@@ -97,22 +98,16 @@ def _heavy_values(r1s, r2s, r3s, v2, v3, heavy_groups, groups2,
         seg1 = r1s.data.subsegment(g.start, g.stop)
         n1, n2, n3 = r1s.name, r2s.name, r3s.name
         for chunk in load_chunks(seg1, M):
-            if device.block_mode:
-                for block in t_file.scan_blocks():
-                    emit_block(emitter, [
-                        {n1: t1, n2: t2, n3: t3}
-                        for t2, t3 in block
-                        for t1 in chunk])  # all share v2 = a
-            else:
-                for t2, t3 in t_file.scan():
-                    for t1 in chunk:  # all share v2 = a: cross-combine
-                        emitter.emit({n1: t1, n2: t2, n3: t3})
+            for block in t_file.scan_blocks():
+                emit_block(emitter, [
+                    {n1: t1, n2: t2, n3: t3}
+                    for t2, t3 in block
+                    for t1 in chunk])  # all share v2 = a
 
 
 def _light_values(r1s, r2s, r3s, v2, v3, light_groups, emitter) -> None:
     """Lines 8-12: chunked light values with one total scan of R2."""
-    device = r1s.device
-    M = device.M
+    M = r1s.device.M
     i1 = r1s.schema.index(v2)
     i2 = r2s.schema.index(v2)
     cursor2 = r2s.data.reader()
@@ -123,32 +118,8 @@ def _light_values(r1s, r2s, r3s, v2, v3, light_groups, emitter) -> None:
         for t in chunk:
             by_value.setdefault(t[i1], []).append(t)
         vmax = max(values)
-        matched: list[tuple] = []
-        if device.block_mode:
-            # Block take-while: fetch the current page (charged exactly
-            # as a peek would), consume the <= vmax prefix for free.
-            # em-loop-bound: N/B -- one page per iteration; the cursor
-            # is shared across chunks, so all take-whiles together make
-            # one pass over R2
-            while not cursor2.exhausted:
-                page = cursor2.peek_page_block()
-                taken = 0
-                for t in page:
-                    if t[i2] > vmax:
-                        break
-                    taken += 1
-                    if t[i2] in values:
-                        matched.append(t)
-                cursor2.skip_to(cursor2.position + taken)
-                if taken < len(page):
-                    break
-        else:
-            # em-loop-bound: N -- one tuple per iteration of the shared
-            # cursor's single pass over R2
-            while not cursor2.exhausted and cursor2.peek()[i2] <= vmax:
-                t = cursor2.next()
-                if t[i2] in values:
-                    matched.append(t)
+        # cursor2 is shared across chunks: one pass over R2 in total
+        matched = take_matching(cursor2, i2, vmax, values)
         if not matched:
             continue
         r2m = r2s.rewrite(matched, label="sj", sorted_on=v2)

@@ -16,10 +16,9 @@ input is already reduced.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.data.instance import Instance
 from repro.data.relation import Relation
+from repro.em.loaders import merge_matching
 from repro.query.hypergraph import JoinQuery
 from repro.query.reduce import elimination_order
 
@@ -53,63 +52,7 @@ def _semijoin_em(rel: Relation, filt: Relation, attr: str) -> Relation:
     """``rel ⋉ filt`` on ``attr`` by sort + merge, written back to disk."""
     rel_s = rel.sort_by(attr)
     filt_s = filt.sort_by(attr)
-    key_l = rel_s.key(attr)
-    key_r = filt_s.key(attr)
-    left = rel_s.data.reader()
-    right = filt_s.data.reader()
-
-    if rel.device.block_mode:
-        matches = _matches_blocked(left, right, key_l, key_r)
-    else:
-        matches = _matches_scalar(left, right, key_l, key_r)
+    matches = merge_matching(rel_s.data.reader(), filt_s.data.reader(),
+                             rel_s.key(attr), filt_s.key(attr))
     return rel_s.rewrite(matches, label=f"red_{filt.name}",
                          sorted_on=attr)
-
-
-def _matches_scalar(left, right, key_l, key_r):
-    """Tuple-at-a-time merge pass (the block_mode=False reference)."""
-    while not left.exhausted:
-        t = left.next()
-        kv = key_l(t)
-        while not right.exhausted and key_r(right.peek()) < kv:
-            right.next()
-        if not right.exhausted and key_r(right.peek()) == kv:
-            yield t
-
-
-def _matches_blocked(left, right, key_l, key_r):
-    """Page-block merge pass: same charges, a fraction of the calls.
-
-    Both cursors advance through materialized page blocks; each page is
-    charged once when entered, exactly when the scalar pass would have
-    peeked into it.  The right side keeps its current page's keys
-    precomputed so the per-left-tuple advance is one :func:`bisect`
-    (C speed) within the page — pages exhausted below the probe key
-    are fetched exactly when the scalar pass's boundary peek would
-    have charged them.
-    """
-    rblock: list = []
-    rkeys: list = []
-    ri = 0
-    # em-loop-bound: N/B -- one left page block per iteration
-    while not left.exhausted:
-        lblock = left.read_page_block()
-        # em-loop-bound: 1 -- the right cursor advances monotonically,
-        # so all probe fetches across the whole pass total one scan;
-        # the inner advance is counted in whole-pass units
-        for t, kv in zip(lblock, map(key_l, lblock)):
-            # em-loop-bound: 1 -- fetches at most one new right page
-            # beyond the shared single pass
-            while True:
-                if ri >= len(rblock):
-                    if right.exhausted:
-                        rblock, rkeys, ri = [], [], 0
-                        break
-                    rblock = right.read_page_block()
-                    rkeys = list(map(key_r, rblock))
-                    ri = 0
-                ri = bisect_left(rkeys, kv, ri)
-                if ri < len(rkeys):
-                    break
-            if ri < len(rblock) and rkeys[ri] == kv:
-                yield t

@@ -52,30 +52,20 @@ def nested_loop_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
                      n_outer=len(outer), n_inner=len(inner)):
         for chunk in load_chunks(outer.data, device.M):
             if attr is None:
-                if device.block_mode:
-                    for block in inner.data.scan_blocks():
-                        emit_block(emitter, [
-                            {o_name: t_out, i_name: t_in}
-                            for t_in in block for t_out in chunk])
-                else:
-                    for t_in in inner.data.scan():
-                        for t_out in chunk:
-                            emitter.emit({o_name: t_out, i_name: t_in})
+                for block in inner.data.scan_blocks():
+                    emit_block(emitter, [
+                        {o_name: t_out, i_name: t_in}
+                        for t_in in block for t_out in chunk])
             else:
                 by_value: dict[object, list[tuple]] = {}
                 for t in chunk:
                     by_value.setdefault(t[o_idx], []).append(t)
-                if device.block_mode:
-                    get = by_value.get
-                    for block in inner.data.scan_blocks():
-                        emit_block(emitter, [
-                            {o_name: t_out, i_name: t_in}
-                            for t_in in block
-                            for t_out in get(t_in[i_idx], ())])
-                else:
-                    for t_in in inner.data.scan():
-                        for t_out in by_value.get(t_in[i_idx], ()):
-                            emitter.emit({o_name: t_out, i_name: t_in})
+                get = by_value.get
+                for block in inner.data.scan_blocks():
+                    emit_block(emitter, [
+                        {o_name: t_out, i_name: t_in}
+                        for t_in in block
+                        for t_out in get(t_in[i_idx], ())])
 
 
 # em-cost: N^2/(M*B) + N/B -- sort both sides, then merge; only values
@@ -116,40 +106,20 @@ def _join_groups(s1: Relation, g1: Group, s2: Relation, g2: Group,
     seg1 = s1.data.subsegment(g1.start, g1.stop)
     seg2 = s2.data.subsegment(g2.start, g2.stop)
     n1, n2 = s1.name, s2.name
-    block_mode = s1.device.block_mode
     if g1.count >= M and g2.count >= M:
         for chunk in load_chunks(seg1, M):
-            if block_mode:
-                for block in seg2.scan_blocks():
-                    emit_block(emitter, [{n1: t1, n2: t2}
-                                         for t2 in block for t1 in chunk])
-            else:
-                for t2 in seg2.scan():
-                    for t1 in chunk:
-                        emitter.emit({n1: t1, n2: t2})
+            for block in seg2.scan_blocks():
+                emit_block(emitter, [{n1: t1, n2: t2}
+                                     for t2 in block for t1 in chunk])
     elif g1.count <= g2.count:
         with s1.device.memory.hold(g1.count):
-            if block_mode:
-                resident = seg1.reader().read_block(g1.count)
-                for block in seg2.scan_blocks():
-                    emit_block(emitter, [{n1: t1, n2: t2}
-                                         for t2 in block
-                                         for t1 in resident])
-            else:
-                resident = list(seg1.scan())
-                for t2 in seg2.scan():
-                    for t1 in resident:
-                        emitter.emit({n1: t1, n2: t2})
+            resident = seg1.reader().read_block(g1.count)
+            for block in seg2.scan_blocks():
+                emit_block(emitter, [{n1: t1, n2: t2}
+                                     for t2 in block for t1 in resident])
     else:
         with s2.device.memory.hold(g2.count):
-            if block_mode:
-                resident = seg2.reader().read_block(g2.count)
-                for block in seg1.scan_blocks():
-                    emit_block(emitter, [{n1: t1, n2: t2}
-                                         for t1 in block
-                                         for t2 in resident])
-            else:
-                resident = list(seg2.scan())
-                for t1 in seg1.scan():
-                    for t2 in resident:
-                        emitter.emit({n1: t1, n2: t2})
+            resident = seg2.reader().read_block(g2.count)
+            for block in seg1.scan_blocks():
+                emit_block(emitter, [{n1: t1, n2: t2}
+                                     for t1 in block for t2 in resident])

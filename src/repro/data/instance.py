@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping, TYPE_CHECKING
 
-from repro.data.relation import Relation
+from repro.data.relation import Relation, repeated_tuple
 from repro.data.schema import RelationSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +53,8 @@ class Instance(Mapping[str, Relation]):
         """Build an instance from ``{name: attr tuple}`` and ``{name: rows}``.
 
         Input relations are materialized without charging I/O (they
-        pre-exist on disk in the model).
+        pre-exist on disk in the model).  Relations are sets: a row
+        repeated within one relation raises :class:`ValueError`.
         """
         missing = set(schemas) - set(data)
         if missing:
@@ -61,7 +62,12 @@ class Instance(Mapping[str, Relation]):
         rels = {}
         for name, attrs in schemas.items():
             schema = RelationSchema(name, tuple(attrs))
-            rels[name] = Relation.from_tuples(device, schema, data[name])
+            rows = [tuple(t) for t in data[name]]
+            dup = repeated_tuple(rows)
+            if dup is not None:
+                raise ValueError(f"relation {name!r} repeats the tuple "
+                                 f"{dup!r}; relations are sets")
+            rels[name] = Relation.from_tuples(device, schema, rows)
         return cls(rels)
 
     def replace(self, **rebinds: Relation) -> "Instance":

@@ -25,6 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.em.device import Device
 
 
+def repeated_tuple(rows: list[tuple]) -> tuple | None:
+    """A tuple occurring more than once in ``rows``, or ``None``.
+
+    Relations are sets; the entry points taking caller-supplied rows
+    (:meth:`~repro.data.instance.Instance.from_dicts`,
+    :meth:`~repro.server.catalog.Catalog.add`) reject bags with this.
+    """
+    if len(set(rows)) == len(rows):
+        return None
+    seen: set[tuple] = set()
+    for t in rows:
+        if t in seen:
+            return t
+        seen.add(t)
+    return None  # pragma: no cover - unreachable: set() found a repeat
+
+
 @dataclass(frozen=True)
 class Relation:
     """An on-disk relation with sorting and restriction metadata."""

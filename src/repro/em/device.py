@@ -68,23 +68,12 @@ class Device:
         Without one the device carries the shared
         :data:`~repro.obs.metrics.NULL_METRICS` sink, so instrumented
         code updates metrics unconditionally at near-zero cost.
-    block_mode:
-        When true (the default) the hot operators run their
-        block-at-a-time implementations over the columnar cursor APIs
-        of :mod:`repro.em.file`.  ``False`` selects the
-        tuple-at-a-time reference paths.  Both modes charge identical
-        I/O in identical order — the pinned baselines and the
-        differential tests police it — so the flag only trades wall
-        clock; it exists for the speedup measurement in
-        ``benchmarks/bench_wallclock.py`` and as the documented cold
-        path.
     """
 
     def __init__(self, M: int, B: int, *, mem_slack: float = 8.0,
                  strict_memory: bool = False,
                  buffer_pool: PoolConfig | None = None,
-                 tracer=None, profiler=None, metrics=None,
-                 block_mode: bool = True) -> None:
+                 tracer=None, profiler=None, metrics=None) -> None:
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
         if B < 1:
@@ -93,7 +82,6 @@ class Device:
             raise ValueError(f"block size B={B} cannot exceed memory M={M}")
         self.M = M
         self.B = B
-        self.block_mode = block_mode
         self.stats = IOStats()
         self.memory = MemoryGauge(capacity=M, slack=mem_slack,
                                   strict=strict_memory)

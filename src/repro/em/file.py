@@ -19,7 +19,7 @@ through the same page-granular accounting.
 Block APIs
 ----------
 
-Cursors also move whole blocks so operators can amortize the Python
+Every operator in the engine moves whole blocks, amortizing the Python
 interpreter over many tuples per call:
 
 * :meth:`SequentialReader.read_block` — up to ``n`` tuples in one call;
@@ -28,16 +28,17 @@ interpreter over many tuples per call:
 * :meth:`Writer.append_block` / :meth:`Writer.write_block` — bulk
   append, flushing full pages as they fill.
 
-Every block call charges **exactly** the page I/Os the equivalent
-tuple-at-a-time loop would, in the same order: a block read entering
-pages ``p..q`` charges them ascending, just as ``next()`` would when
-crossing each boundary, and a block append charges one write per page
-at the same fill points ``append()`` flushes at.  Buffer-pool hit/miss
-sequences and tracer event streams are therefore byte-identical — the
-property the pinned baselines and the tracer-transparency tests
-enforce.  Blocks larger than one page occupy real memory; callers
-account for them with ``device.memory.hold`` exactly as they did for
-tuple loops that materialized the same chunk.
+The per-tuple :meth:`SequentialReader.peek` / :meth:`SequentialReader.next`
+and :meth:`Writer.append` define what a charge is, and every block call
+charges **exactly** the page I/Os the equivalent per-tuple loop would,
+in the same order: a block read entering pages ``p..q`` charges them
+ascending, just as ``next()`` would when crossing each boundary, and a
+block append charges one write per page at the same fill points
+``append()`` flushes at.  The order is observable (it drives the buffer
+pool's hit/miss sequence), so ``benchmarks/BENCH_table1.json`` pins a
+digest of each workload's full page-access stream.  Blocks larger than
+one page occupy real memory; callers account for them with
+``device.memory.hold``.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ class SequentialReader:
         self._pos = start
         self._stop = stop
         self._buffered_page = -1
-        # Materialized rows of the buffered page (tuple-at-a-time path).
+        # Materialized rows of the buffered page.
         self._page_rows: list[Tuple] | None = None
         self._page_base = 0
 
@@ -282,14 +283,6 @@ class SequentialReader:
         t = self.peek()
         self._pos += 1
         return t
-
-    def read_up_to(self, n: int) -> list[Tuple]:
-        """Read at most ``n`` further tuples (fewer at end of segment)."""
-        out = []
-        # em-loop-bound: M -- callers request at most a memory-load
-        while len(out) < n and not self.exhausted:
-            out.append(self.next())
-        return out
 
     # em-cost: amortized M/B -- callers request at most a memory-load,
     # and each page of the block is charged exactly once

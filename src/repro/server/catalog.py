@@ -20,6 +20,7 @@ import threading
 from typing import Mapping
 
 from repro.data.io import read_csv_rows
+from repro.data.relation import repeated_tuple
 
 
 class CatalogError(KeyError):
@@ -79,7 +80,13 @@ class Catalog:
     def add(self, name: str, layouts: Mapping[str, tuple[str, ...]],
             rows: Mapping[str, list[tuple]], *,
             replace: bool = False) -> CatalogEntry:
-        """Register a dataset from in-memory rows."""
+        """Register a dataset from in-memory rows (each relation a set)."""
+        for rel, rs in rows.items():
+            dup = repeated_tuple([tuple(t) for t in rs])
+            if dup is not None:
+                raise CatalogError(
+                    f"instance {name!r}, relation {rel!r} repeats the "
+                    f"tuple {dup!r}; relations are sets")
         with self._lock:
             old = self._entries.get(name)
             if old is not None and not replace:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -26,6 +28,17 @@ def make_random_data(query, sizes, domain, seed=0):
             guard += 1
         data[e] = sorted(rows)
     return schemas, data
+
+
+def bench_util():
+    """The ``benchmarks/_util.py`` module (not a package)."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent
+                           / "benchmarks"))
+    try:
+        import _util
+    finally:
+        sys.path.pop(0)
+    return _util
 
 
 def run_and_compare(query, schemas, data, runner, *, M=16, B=4,

@@ -99,6 +99,26 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance.from_dicts(small_device, {"e1": ("a",)}, {})
 
+    def test_repeated_row_rejected_naming_relation_and_tuple(
+            self, small_device):
+        with pytest.raises(ValueError, match=r"'e2'.*\(2, 3\)"):
+            Instance.from_dicts(
+                small_device, {"e1": ("v1", "v2"), "e2": ("v2", "v3")},
+                {"e1": [(1, 2)], "e2": [(2, 3), (2, 4), [2, 3]]})
+
+    def test_bag_rejected_before_algorithm_2(self):
+        """A bag used to reach the planner and trip its internal
+        peel-plan agreement assertion; it is now refused up front."""
+        from repro.query import star_query
+        from repro.workloads import schemas_for
+
+        data = {"e0": [(0, 0), (1, 1), (0, 1), (0, 1)],
+                "e1": [(1, 1), (0, 0), (1, 0), (0, 1)],
+                "e2": [(0, 1)] * 4}
+        with pytest.raises(ValueError, match=r"'e0'.*\(0, 1\)"):
+            Instance.from_dicts(Device(M=4, B=2),
+                                schemas_for(star_query(2)), data)
+
     def test_drop_and_replace(self, small_device):
         inst = self.make(small_device)
         assert set(inst.drop("e1")) == {"e2"}

@@ -1,10 +1,10 @@
 """Block-granular cursor APIs: same pages, same order, fewer calls.
 
-The tentpole invariant: every block operation charges **exactly** the
-page I/Os its tuple-at-a-time equivalent charges, in the same global
-order.  With a buffer pool attached the order is observable (it drives
-LRU state), so these tests compare full traced event streams, not just
-totals.
+The invariant: every block operation charges **exactly** the page I/Os
+its tuple-at-a-time equivalent charges, in the same global order.  With
+a buffer pool attached the order is observable (it drives LRU state),
+so the operator-level tests pin digests of full traced page-event
+streams, not just totals.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from repro.obs.tracer import Tracer
 from repro.query import star_query
 from repro.workloads import star_worstcase_instance
 
+from conftest import bench_util
+
 
 def fill(device, n, name="f"):
     f = device.new_file(name)
@@ -26,21 +28,14 @@ def fill(device, n, name="f"):
     return f
 
 
-def traced_device(M=16, B=4, *, block_mode=True, pool=False):
+def traced_device(M=16, B=4, *, pool=False):
     tracer = Tracer(capacity=1_000_000)
     kwargs = {}
     if pool:
         kwargs["buffer_pool"] = PoolConfig(frames=max(2, M // B),
                                            policy="lru")
-    dev = Device(M=M, B=B, tracer=tracer, block_mode=block_mode,
-                 **kwargs)
+    dev = Device(M=M, B=B, tracer=tracer, **kwargs)
     return dev, tracer
-
-
-def io_events(tracer):
-    return [(e.kind, e.file, e.page) for e in tracer.events()
-            if e.kind in ("read", "write", "hit", "miss", "evict",
-                          "writeback")]
 
 
 class TestReadBlockEdges:
@@ -215,42 +210,55 @@ class TestColumnarStorage:
 
 
 class TestBlockScalarEquivalence:
-    """Full traced event streams must match between the two modes."""
+    """The block operators' page-event streams, pinned as digests.
 
-    def _sort_events(self, block_mode, *, pool):
-        dev, tracer = traced_device(M=4, B=2, block_mode=block_mode,
-                                    pool=pool)
-        f = dev.new_file("src")
-        with f.writer() as w:
-            for i in range(13):
-                w.append((i * 7919 % 13, i))
-        out = external_sort(f, lambda t: t[0], name="sorted")
-        return io_events(tracer), out.peek_tuples()
+    The tuple-at-a-time reference operators (since removed) produced
+    these same digests on these workloads, so each check still holds
+    the block paths to the per-tuple stream, page for page.
+    """
+
+    #: ``page_stream_digest`` of the 13-tuple sort, by pool on/off.
+    SORT_DIGESTS = {
+        False: "cd884af217903107cfe0a16a7e105b23"
+               "3d8eee93043cff7c9b7baf207aadc152",
+        True: "9a8b96d583b9a8412c3bd2e5e4cb39f1"
+              "be3f4f0fb0458b7e468b593602d00dd8",
+    }
+    #: ... and of star(2) with the pool on (the Table-1 ``star`` class's
+    #: ``pool_on`` leg, which pins the same digest).
+    STAR_DIGEST = ("40b065916fccc4eb8acc9472ee44947d"
+                   "ea0b7c6f202dcd5ca7820c26f472d1e9")
 
     @pytest.mark.parametrize("pool", [False, True])
     def test_external_sort_event_stream_identical(self, pool):
-        ev_scalar, out_scalar = self._sort_events(False, pool=pool)
-        ev_block, out_block = self._sort_events(True, pool=pool)
-        assert out_block == out_scalar
-        assert ev_block == ev_scalar
+        dev, tracer = traced_device(M=4, B=2, pool=pool)
+        f = dev.new_file("src")
+        rows = [(i * 7919 % 13, i) for i in range(13)]
+        with f.writer() as w:
+            for t in rows:
+                w.append(t)
+        out = external_sort(f, lambda t: t[0], name="sorted")
+        assert out.peek_tuples() == sorted(rows, key=lambda t: t[0])
+        assert (bench_util().page_stream_digest(tracer)
+                == self.SORT_DIGESTS[pool])
 
-    def _star_events(self, block_mode):
-        from repro.core.planner import acyclic_join_best
+    def test_star_query_event_stream_identical(self):
         from repro.core.emit import CountingEmitter
+        from repro.core.planner import acyclic_join_best
 
-        dev, tracer = traced_device(M=4, B=2, block_mode=block_mode,
-                                    pool=True)
+        dev, tracer = traced_device(M=4, B=2, pool=True)
         schemas, data = star_worstcase_instance([16, 16])
         inst = Instance.from_dicts(dev, schemas, data)
         emitter = CountingEmitter()
         acyclic_join_best(star_query(2), inst, emitter, limit=16)
-        return io_events(tracer), emitter.count
+        assert emitter.count == 256
+        assert bench_util().page_stream_digest(tracer) == self.STAR_DIGEST
 
-    def test_star_query_event_stream_identical(self):
-        ev_scalar, n_scalar = self._star_events(False)
-        ev_block, n_block = self._star_events(True)
-        assert n_block == n_scalar
-        assert ev_block == ev_scalar
+    def test_lossy_trace_refused(self):
+        tracer = Tracer(capacity=2)
+        fill(Device(M=4, B=2, tracer=tracer), 13)
+        with pytest.raises(ValueError, match="lossy"):
+            bench_util().page_stream_digest(tracer)
 
     def test_sort_empty_source_synthesizes_counted_run(self):
         from repro.obs import MetricsRegistry

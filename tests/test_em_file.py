@@ -72,10 +72,10 @@ class TestSequentialReader:
         r.next()
         assert small_device.stats.reads == 1
 
-    def test_read_up_to_stops_at_end(self, small_device):
+    def test_read_block_stops_at_end(self, small_device):
         f = fill(small_device, 6)
         r = f.reader()
-        assert len(r.read_up_to(10)) == 6
+        assert len(r.read_block(10)) == 6
         assert r.exhausted
 
     def test_skip_to_does_not_charge(self, small_device):
@@ -90,7 +90,7 @@ class TestSequentialReader:
     def test_skip_backwards_rejected(self, small_device):
         f = fill(small_device, 8)
         r = f.reader()
-        r.read_up_to(5)
+        r.read_block(5)
         with pytest.raises(ValueError):
             r.skip_to(2)
 

@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -14,6 +13,8 @@ from repro.obs import (UNATTRIBUTED, IOBreakdown, ProfiledEmitter,
                        write_baseline)
 from repro.obs.events import EVENT_KINDS, TraceEvent
 from repro.workloads import fig3_line3_instance
+
+from conftest import bench_util
 
 BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
 TABLE1 = load_baseline(BENCH_DIR / "BENCH_table1.json")["classes"]
@@ -28,16 +29,6 @@ def traced_line3(M=4, B=2, pool=None, **tracer_kwargs):
     line3_join(line_query(3), instance, CountingEmitter())
     device.flush_pool()
     return device, tracer
-
-
-def bench_util():
-    """The ``benchmarks/_util.py`` module (not a package)."""
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        import _util
-    finally:
-        sys.path.pop(0)
-    return _util
 
 
 def run_table1_class(name, leg, *, observed):

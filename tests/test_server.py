@@ -74,6 +74,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             Catalog().add("d", {"r": ("a", "b")}, {"r": [(1, 2, 3)]})
 
+    def test_repeated_row_rejected_naming_relation_and_tuple(self):
+        """Relations are sets: a bag would reach Algorithm 2 through a
+        session's materialization and break its peel-plan agreement."""
+        rows = {"r": [(1, 2), (3, 4), (1, 2)]}
+        with pytest.raises(CatalogError, match=r"'r'.*\(1, 2\)"):
+            Catalog().add("d", self.LAYOUTS, rows)
+        with QueryService(M=256, B=B) as svc:
+            with pytest.raises(CatalogError, match=r"'r'.*\(1, 2\)"):
+                svc.add_instance("d", self.LAYOUTS, rows)
+            assert "d" not in svc.catalog
+
     def test_eviction_skips_pinned(self):
         cat = Catalog(capacity=2)
         cat.add("a", self.LAYOUTS, self.ROWS)
